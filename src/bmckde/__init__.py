@@ -42,15 +42,6 @@ from .rot import (
     score_G_tri,
     sigma_hat_a,
 )
-from .tree import (
-    NodeId,
-    Population,
-    TreeSample,
-    Triangle,
-    descendants_at_distance,
-    generation_size,
-    tree_size,
-    triangles,
-)
+from .tree import Population, TreeSample, tree_size
 
 __all__ = [name for name in dir() if not name.startswith("_")]

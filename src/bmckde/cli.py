@@ -300,23 +300,26 @@ def _cmd_estimate(args) -> int:
     sample = _load_tree(args.tree)
     population = Population(cfg["population"])
     kind = cfg["estimator"]
-    bw = BandwidthTriple(*cfg["bw"]) if "bw" in cfg else None
-    if kind == "mu":
-        if "h" not in cfg:
-            raise ConfigError("mu estimator needs h")
-        grid = _axis(cfg["grid"])
-        spec = EstimatorSpec(kind="mu", population=population, h=cfg["h"])
-    else:
-        if bw is None:
-            raise ConfigError(f"{kind} estimator needs bw = [h, h0, h1]")
-        if kind == "p" and "h" not in cfg:
-            raise ConfigError("p estimator needs the denominator bandwidth h")
-        g = cfg["grid"]
-        if not (isinstance(g, dict) and "x" in g):
-            raise ConfigError("3-d estimators need grid = {x:, x0:, x1:}")
-        grid = (_axis(g["x"]), _axis(g["x0"]), _axis(g["x1"]))
-        spec = EstimatorSpec(kind=kind, population=population, h=cfg.get("h"), bw=bw)
-    est = evaluate_on_grid(sample, spec, grid)
+    try:
+        bw = BandwidthTriple(*cfg["bw"]) if "bw" in cfg else None
+        if kind == "mu":
+            if "h" not in cfg:
+                raise ConfigError("mu estimator needs h")
+            grid = _axis(cfg["grid"])
+            spec = EstimatorSpec(kind="mu", population=population, h=cfg["h"])
+        else:
+            if bw is None:
+                raise ConfigError(f"{kind} estimator needs bw = [h, h0, h1]")
+            if kind == "p" and "h" not in cfg:
+                raise ConfigError("p estimator needs the denominator bandwidth h")
+            g = cfg["grid"]
+            if not (isinstance(g, dict) and "x" in g):
+                raise ConfigError("3-d estimators need grid = {x:, x0:, x1:}")
+            grid = (_axis(g["x"]), _axis(g["x0"]), _axis(g["x1"]))
+            spec = EstimatorSpec(kind=kind, population=population, h=cfg.get("h"), bw=bw)
+        est = evaluate_on_grid(sample, spec, grid)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     atomic_write(args.out, est.to_csv)
     _write_sidecar(args.out, cfg)
     return 0
@@ -376,8 +379,15 @@ def _cmd_clt_check(args) -> int:
     cfg = load_config(args.config, "clt-check")
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.threads is not None:
-        cfg["threads"] = args.threads
+    threads = args.threads
+    if threads is None and "BMC_KERNEL_THREADS" in os.environ:
+        env = os.environ["BMC_KERNEL_THREADS"]
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ConfigError(f"BMC_KERNEL_THREADS={env!r} is not an integer") from None
+    if threads is not None:
+        cfg["threads"] = threads
     if args.population:
         cfg["population"] = args.population
     cfg.setdefault("seed", 0)
@@ -471,12 +481,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bmckde", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, *, tree=False, out_required=True, out_is_dir=False):
+    def add(name, handler, *, tree=False, out_required=True, out_is_dir=False, seed=False, population=False):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--population", choices=["gen", "tree"], default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
+        if population:
+            p.add_argument("--population", choices=["gen", "tree"], default=None)
         if tree:
             p.add_argument("--tree", required=True)
         if out_required:
@@ -486,26 +497,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    add("simulate", _cmd_simulate)
-    add("estimate", _cmd_estimate, tree=True)
-    add("cv-select", _cmd_cv_select, tree=True)
+    add("simulate", _cmd_simulate, seed=True)
+    add("estimate", _cmd_estimate, tree=True, population=True)
+    add("cv-select", _cmd_cv_select, tree=True, seed=True)
     add("rot-select", _cmd_rot_select, tree=True, out_required=False)
-    add("clt-check", _cmd_clt_check)
-    add("oracle-check", _cmd_oracle_check, out_required=False)
-    add("reproduce-figures", _cmd_reproduce_figures, out_is_dir=True)
+    clt = add("clt-check", _cmd_clt_check, seed=True, population=True)
+    clt.add_argument("--threads", type=int, default=None)
+    add("oracle-check", _cmd_oracle_check, out_required=False, seed=True)
+    add("reproduce-figures", _cmd_reproduce_figures, out_is_dir=True, seed=True)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is None:
-        env = os.environ.get("BMC_KERNEL_THREADS")
-        if env is not None:
-            try:
-                args.threads = int(env)
-            except ValueError:
-                print(f"error: BMC_KERNEL_THREADS={env!r} is not an integer", file=sys.stderr)
-                return 1
     try:
         return args.handler(args)
     except ConfigError as e:

@@ -17,20 +17,13 @@ only the fold memberships of the pair matter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import GAUSSIAN, L2_NORM_SQ_CUBED
 from .rng import FOLD_STREAM, philox_stream
 from .tree import Population, TreeSample
-
-_SQRT_PI = math.sqrt(math.pi)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_CONV1 = 1.0 / (2.0 * _SQRT_PI)  # (K0*K0)(0) scale: N(0,2) density prefactor
-_K1 = 1.0 / _SQRT_2PI
-_CONV3 = _CONV1**3
-_K3 = _K1**3
 
 _BLOCK = 4096  # pairwise scratch capped at ~128 MB
 
@@ -88,9 +81,9 @@ def j_hat_den(sample: TreeSample, partition: FoldPartition, k: int, h: float) ->
         raise ValueError("fold and complement must both be nonempty")
     m = rest.size
     diff = (rest[:, None] - rest[None, :]) / h
-    integral = _CONV1 * float(np.sum(np.exp(-0.25 * diff**2))) / (m * m * h)
+    integral = GAUSSIAN.l2_norm_sq * float(np.sum(np.exp(-0.25 * diff**2))) / (m * m * h)
     cross = (held[:, None] - rest[None, :]) / h
-    leave_out = _K1 * float(np.sum(np.exp(-0.5 * cross**2))) / (held.size * m * h)
+    leave_out = GAUSSIAN.sup_norm * float(np.sum(np.exp(-0.5 * cross**2))) / (held.size * m * h)
     return integral - 2.0 * leave_out
 
 
@@ -106,9 +99,9 @@ def j_hat_num(sample: TreeSample, partition: FoldPartition, k: int, h: float) ->
         raise ValueError("fold and complement must both be nonempty")
     m = rest.shape[0]
     d2 = _sq_dists(rest, rest) / h**2
-    integral = _CONV3 * float(np.sum(np.exp(-0.25 * d2))) / (m * m * h**3)
+    integral = L2_NORM_SQ_CUBED * float(np.sum(np.exp(-0.25 * d2))) / (m * m * h**3)
     c2 = _sq_dists(held, rest) / h**2
-    leave_out = _K3 * float(np.sum(np.exp(-0.5 * c2))) / (held.shape[0] * m * h**3)
+    leave_out = GAUSSIAN.sup_norm**3 * float(np.sum(np.exp(-0.5 * c2))) / (held.shape[0] * m * h**3)
     return integral - 2.0 * leave_out
 
 
@@ -236,8 +229,8 @@ def _fold_scores(
         fold_rows = np.add.reduceat(rows[:, t, :], bounds[:-1], axis=1)  # (4, K)
         totals = rows[:, t, :].sum(axis=1)
         for out, (ci, cl), hp, (rw, dg, tot), (rk, dk) in (
-            (j_den, (_CONV1, _K1), h, (fold_rows[0], diag[0, t], totals[0]), (fold_rows[1], diag[1, t])),
-            (j_num, (_CONV3, _K3), h**3, (fold_rows[2], diag[2, t], totals[2]), (fold_rows[3], diag[3, t])),
+            (j_den, (GAUSSIAN.l2_norm_sq, GAUSSIAN.sup_norm), h, (fold_rows[0], diag[0, t], totals[0]), (fold_rows[1], diag[1, t])),
+            (j_num, (L2_NORM_SQ_CUBED, GAUSSIAN.sup_norm**3), h**3, (fold_rows[2], diag[2, t], totals[2]), (fold_rows[3], diag[3, t])),
         ):
             comp = tot - 2.0 * rw + dg  # complement-complement pair sums
             cross = rk - dk  # held-out rows restricted to the complement

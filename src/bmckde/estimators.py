@@ -1,15 +1,16 @@
 """Kernel estimators of the invariant, triangle, and transition densities.
 
 The sample is the set of mother-daughters triangles over a chosen index set
-(one generation, or the whole tree).  Everything is direct summation: no
-binning or FFT shortcuts, so grid evaluations agree bitwise with the scalar
-calls (numpy's pairwise row reduction is the single summation scheme used
-throughout).
+(one generation, or the whole tree).  Everything is direct summation, no
+binning or FFT shortcuts, done by one blocked primitive over a tensor grid of
+evaluation points; the scalar estimators are one-point grids, so grid
+evaluations agree bitwise with scalar calls by construction.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -26,19 +27,53 @@ DENOMINATOR_FLOOR = 1e-300
 _BLOCK_ENTRIES = 1 << 22  # cap scratch matrices at ~32 MB per block
 
 
-def _parents(sample: TreeSample, population: Population) -> np.ndarray:
-    vals = sample.population_parents(population)
-    if vals.size == 0:
+def _kernel_sums(columns, bandwidths, axes) -> np.ndarray:
+    """Normalized product-kernel sums at every point of the tensor grid of ``axes``.
+
+    Coordinate j of a grid point a contributes K0((a_j - columns[j]) / bandwidths[j])
+    per sample member; the value is the sum over the sample of the product of
+    those factors, divided by N times the bandwidths.  Values come flattened in
+    C order (first axis slowest).  Kernel rows are computed once per axis
+    value, and the product over the trailing axes of a block of trailing
+    points is reused for every first-axis row in a block of them.  A value is
+    always the contiguous row sum of the same elementwise products, so any
+    grid agrees bitwise with one-point grids.  Blocks hold at most
+    ``_BLOCK_ENTRIES`` entries; the trailing axes' kernel rows are kept whole.
+    """
+    for h in bandwidths:
+        if not (h > 0 and math.isfinite(h)):
+            raise ValueError("bandwidth must be positive and finite")
+    size = columns[0].size
+    if size == 0:
         raise ValueError("empty index set")
-    return vals
+    trailing = [GAUSSIAN((ax[:, None] - col[None, :]) / h) for ax, col, h in zip(axes[1:], columns[1:], bandwidths[1:])]
+    shape = tuple(ax.size for ax in axes[1:])
+    n_trail = math.prod(shape)
+    step = max(1, _BLOCK_ENTRIES // size)
+    out = np.empty((axes[0].size, n_trail))
+    for a0 in range(0, axes[0].size, step):
+        lead = GAUSSIAN((axes[0][a0 : a0 + step, None] - columns[0][None, :]) / bandwidths[0])
+        if not trailing:
+            out[a0 : a0 + step, 0] = np.sum(lead, axis=-1)
+            continue
+        for t0 in range(0, n_trail, step):
+            t1 = min(t0 + step, n_trail)
+            idx = np.unravel_index(np.arange(t0, t1), shape)
+            tail = trailing[0][idx[0]]
+            for rows, i in zip(trailing[1:], idx[1:]):
+                tail = tail * rows[i]
+            for i, row in enumerate(lead):
+                out[a0 + i, t0:t1] = np.sum(row * tail, axis=-1)
+    norm = size
+    for h in bandwidths:
+        norm = norm * h
+    return out.ravel() / norm
 
 
 def mu_hat(sample: TreeSample, population: Population, h: float, x: float) -> float:
     """Kernel estimate of the invariant density at x: (1/(N h)) sum K0((x - X_u)/h)."""
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
-    vals = _parents(sample, population)
-    return float(np.sum(GAUSSIAN((x - vals) / h)) / (vals.size * h))
+    vals = sample.population_parents(population)
+    return float(_kernel_sums((vals,), (h,), (np.array([x], dtype=float),))[0])
 
 
 def mu_tri_hat(
@@ -54,11 +89,8 @@ def mu_tri_hat(
     Triple-product kernel sum over the triangles of the index set, normalized
     by N * h * h0 * h1 so the estimate integrates to one.
     """
-    xp, c0, c1 = sample.triangle_arrays(population)
-    if xp.size == 0:
-        raise ValueError("empty index set")
-    terms = GAUSSIAN((x - xp) / bw.h) * (GAUSSIAN((x0 - c0) / bw.h0) * GAUSSIAN((x1 - c1) / bw.h1))
-    return float(np.sum(terms) / (xp.size * bw.h * bw.h0 * bw.h1))
+    point = tuple(np.array([v], dtype=float) for v in (x, x0, x1))
+    return float(_kernel_sums(sample.triangle_arrays(population), (bw.h, bw.h0, bw.h1), point)[0])
 
 
 def p_hat(
@@ -122,68 +154,6 @@ class DensityEstimate:
             fh.write("\n")
 
 
-def _row_sums(products: np.ndarray) -> np.ndarray:
-    # contiguous row reduction: bitwise-identical to summing each row alone
-    return np.sum(np.ascontiguousarray(products), axis=-1)
-
-
-def _mu_values(vals: np.ndarray, h: float, xs: np.ndarray) -> np.ndarray:
-    out = np.empty(xs.size)
-    step = max(1, _BLOCK_ENTRIES // max(vals.size, 1))
-    for lo in range(0, xs.size, step):
-        hi = min(lo + step, xs.size)
-        out[lo:hi] = _row_sums(GAUSSIAN((xs[lo:hi, None] - vals[None, :]) / h))
-    return out / (vals.size * h)
-
-
-def _tri_values(
-    sample: TreeSample, population: Population, bw: BandwidthTriple, points: np.ndarray
-) -> np.ndarray:
-    xp, c0, c1 = sample.triangle_arrays(population)
-    out = np.empty(points.shape[0])
-    step = max(1, _BLOCK_ENTRIES // max(xp.size, 1))
-    for lo in range(0, points.shape[0], step):
-        hi = min(lo + step, points.shape[0])
-        kp = GAUSSIAN((points[lo:hi, 0][:, None] - xp[None, :]) / bw.h)
-        k0 = GAUSSIAN((points[lo:hi, 1][:, None] - c0[None, :]) / bw.h0)
-        k1 = GAUSSIAN((points[lo:hi, 2][:, None] - c1[None, :]) / bw.h1)
-        out[lo:hi] = _row_sums(kp * (k0 * k1))
-    return out / (xp.size * bw.h * bw.h0 * bw.h1)
-
-
-def _tri_values_product(
-    sample: TreeSample,
-    population: Population,
-    bw: BandwidthTriple,
-    xs: np.ndarray,
-    x0s: np.ndarray,
-    x1s: np.ndarray,
-) -> np.ndarray:
-    """Tensor-grid evaluation reusing per-axis kernels and child products.
-
-    Same elementwise operations and row reduction as the pointwise path, so
-    values are bitwise identical to scalar calls; the per-axis kernel
-    matrices and the (x0, x1) product pairs are just computed once instead of
-    per grid point.
-    """
-    xp, c0, c1 = sample.triangle_arrays(population)
-    if xp.size == 0:
-        raise ValueError("empty index set")
-    kp = GAUSSIAN((xs[:, None] - xp[None, :]) / bw.h)
-    k0 = GAUSSIAN((x0s[:, None] - c0[None, :]) / bw.h0)
-    k1 = GAUSSIAN((x1s[:, None] - c1[None, :]) / bw.h1)
-    out = np.empty(xs.size * x0s.size * x1s.size)
-    pair_step = max(1, _BLOCK_ENTRIES // max(xp.size, 1))
-    pairs = x0s.size * x1s.size
-    jj, kk = np.divmod(np.arange(pairs), x1s.size)
-    for lo in range(0, pairs, pair_step):
-        hi = min(lo + pair_step, pairs)
-        bc = k0[jj[lo:hi]] * k1[kk[lo:hi]]
-        for i in range(xs.size):
-            out[i * pairs + lo : i * pairs + hi] = _row_sums(kp[i][None, :] * bc)
-    return out / (xp.size * bw.h * bw.h0 * bw.h1)
-
-
 def product_points(xs: np.ndarray, x0s: np.ndarray, x1s: np.ndarray) -> np.ndarray:
     """Tensor-product grid flattened in C order (x slowest, x1 fastest)."""
     gx, g0, g1 = np.meshgrid(xs, x0s, x1s, indexing="ij")
@@ -193,9 +163,9 @@ def product_points(xs: np.ndarray, x0s: np.ndarray, x1s: np.ndarray) -> np.ndarr
 def evaluate_on_grid(sample: TreeSample, spec: EstimatorSpec, grid) -> DensityEstimate:
     """Evaluate an estimator over a grid; pointwise-identical to scalar calls.
 
-    ``grid`` is a 1-D array of x's for the mu estimator, and either an
-    (G, 3) array of points or a tuple of three axis arrays (tensor-product
-    grid) for the three-dimensional estimators.
+    ``grid`` is a 1-D array of x's for the mu estimator, and a tuple of three
+    axis arrays (tensor-product grid, C order) for the three-dimensional
+    estimators.
     """
     meta: dict[str, Any] = {
         "estimator": spec.kind,
@@ -206,30 +176,22 @@ def evaluate_on_grid(sample: TreeSample, spec: EstimatorSpec, grid) -> DensityEs
         xs = np.atleast_1d(np.asarray(grid, dtype=float))
         if xs.size == 0:
             raise ValueError("empty grid")
-        vals = _parents(sample, spec.population)
+        vals = sample.population_parents(spec.population)
         meta.update(h=spec.h, sample_size=int(vals.size))
-        return DensityEstimate(xs, _mu_values(vals, spec.h, xs), meta)
+        return DensityEstimate(xs, _kernel_sums((vals,), (spec.h,), (xs,)), meta)
 
-    axes = None
-    if isinstance(grid, tuple):
-        axes = tuple(np.atleast_1d(np.asarray(g, dtype=float)) for g in grid)
-        points = product_points(*axes)
-    else:
-        points = np.asarray(grid, dtype=float)
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise ValueError("3-d grid must be (G, 3) points or a tuple of three axes")
-    if points.shape[0] == 0:
+    if not (isinstance(grid, tuple) and len(grid) == 3):
+        raise ValueError("3-d grid must be a tuple of three axes")
+    axes = tuple(np.atleast_1d(np.asarray(g, dtype=float)) for g in grid)
+    if any(ax.size == 0 for ax in axes):
         raise ValueError("empty grid")
     bw = spec.bw
-    meta.update(bw=[bw.h, bw.h0, bw.h1], sample_size=int(sample.triangle_arrays(spec.population)[0].size))
-    if axes is not None:
-        values = _tri_values_product(sample, spec.population, bw, *axes)
-    else:
-        values = _tri_values(sample, spec.population, bw, points)
+    columns = sample.triangle_arrays(spec.population)
+    meta.update(bw=[bw.h, bw.h0, bw.h1], sample_size=int(columns[0].size))
+    values = _kernel_sums(columns, (bw.h, bw.h0, bw.h1), axes)
     if spec.kind == "p":
         meta.update(h_den=spec.h)
-        xs, inverse = np.unique(points[:, 0], return_inverse=True)
-        dens = _mu_values(_parents(sample, spec.population), spec.h, xs)
-        den = dens[inverse]
-        values = np.where(den < DENOMINATOR_FLOOR, 0.0, values / np.where(den == 0, 1.0, den))
-    return DensityEstimate(points, values, meta)
+        den = _kernel_sums((columns[0],), (spec.h,), axes[:1])[:, None]
+        values = values.reshape(den.size, -1)
+        values = np.where(den < DENOMINATOR_FLOOR, 0.0, values / np.where(den == 0, 1.0, den)).ravel()
+    return DensityEstimate(product_points(*axes), values, meta)

@@ -26,8 +26,6 @@ from .rot import rot_select
 from .tree import Population, tree_size
 from . import oracle
 
-KS_LOOSE_THRESHOLD = 0.08  # diagnostic gate at 500 replications
-
 CASE1 = BarParams(0.7, 0.5, 0.0, 0.0, 1.0, 0.0)
 CASE2 = BarParams(1.2, 0.7, 0.0, 0.0, 1.0, 0.0)  # supercritical first branch
 

@@ -26,7 +26,6 @@ class GaussianKernel:
     """
 
     name = "gaussian"
-    l1_norm = 1.0
     l2_norm_sq = 1.0 / (2.0 * _SQRT_PI)
     sup_norm = 1.0 / _SQRT_2PI
     second_moment = 1.0

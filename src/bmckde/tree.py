@@ -1,17 +1,16 @@
-"""Binary-tree addressing and storage of tree-indexed real samples.
+"""Level-order storage of tree-indexed real samples.
 
-Nodes are addressed by (generation, rank): rank is the integer whose bit j
-is the j-th branching choice on the path from the root, so the children of
+A node is located by (generation, rank): rank is the integer whose bit j is
+the j-th branching choice on the path from the root, so the children of
 (k, r) are (k+1, 2r) and (k+1, 2r+1).  Values are stored level by level in
-rank order, which makes child/parent lookups O(1) arithmetic and keeps scans
-over a generation contiguous.
+rank order, so the daughters of generation k are the even and odd entries of
+level k+1 and scans over a generation stay contiguous.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,51 +22,6 @@ class Population(enum.Enum):
 
     GEN_N = "gen"
     TREE_N = "tree"
-
-
-@dataclass(frozen=True)
-class NodeId:
-    """Address of a tree node: generation and rank within the generation."""
-
-    generation: int
-    rank: int
-
-    def __post_init__(self) -> None:
-        if self.generation < 0 or self.generation > MAX_DEPTH + 1:
-            raise ValueError(f"generation {self.generation} outside [0, {MAX_DEPTH + 1}]")
-        if not 0 <= self.rank < (1 << self.generation):
-            raise ValueError(f"rank {self.rank} outside [0, 2^{self.generation})")
-
-    def child(self, i: int) -> "NodeId":
-        if i not in (0, 1):
-            raise ValueError("child index must be 0 or 1")
-        return NodeId(self.generation + 1, 2 * self.rank + i)
-
-    def parent(self) -> "NodeId":
-        if self.generation == 0:
-            raise ValueError("root has no parent")
-        return NodeId(self.generation - 1, self.rank // 2)
-
-
-ROOT = NodeId(0, 0)
-
-
-@dataclass(frozen=True)
-class Triangle:
-    """A node value together with its two children's values."""
-
-    parent: float
-    child0: float
-    child1: float
-
-
-def generation_size(k: int) -> int:
-    """Number of nodes in generation k (2^k)."""
-    if k < 0:
-        raise ValueError("generation must be >= 0")
-    if k > MAX_DEPTH:
-        raise OverflowError(f"generation {k} exceeds the 64-bit rank limit ({MAX_DEPTH})")
-    return 1 << k
 
 
 def tree_size(n: int) -> int:
@@ -111,9 +65,6 @@ class TreeSample:
         if not 0 <= k <= self.depth + 1:
             raise ValueError(f"level {k} not stored (have 0..{self.depth + 1})")
         return self._levels[k]
-
-    def value(self, u: NodeId) -> float:
-        return float(self.level(u.generation)[u.rank])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreeSample):
@@ -190,22 +141,3 @@ class TreeSample:
             off += 1 << k
         return cls(levels)
 
-
-def triangles(sample: TreeSample, population: Population) -> Iterator[Triangle]:
-    """Mother-daughters triangles (X_u, X_u0, X_u1) over the index set, in level order."""
-    parents, c0, c1 = sample.triangle_arrays(population)
-    for p, a, b in zip(parents, c0, c1):
-        yield Triangle(float(p), float(a), float(b))
-
-
-def descendants_at_distance(sample: TreeSample, u: NodeId, m: int) -> list[NodeId]:
-    """The 2^m nodes u·w with |w| = m, in rank order."""
-    if m < 0:
-        raise ValueError("distance must be >= 0")
-    if u.generation + m > sample.depth + 1:
-        raise ValueError(
-            f"generation {u.generation + m} not stored (depth {sample.depth} holds 0..{sample.depth + 1})"
-        )
-    g = u.generation + m
-    base = u.rank << m
-    return [NodeId(g, base + j) for j in range(1 << m)]

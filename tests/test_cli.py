@@ -207,12 +207,50 @@ def test_reproduce_figures_outputs(tmp_path):
     assert any(n.endswith("run.config.json") for n in names)
 
 
-def test_env_var_thread_fallback(tmp_path, monkeypatch, capsys):
+def test_env_var_thread_fallback(tmp_path, monkeypatch):
+    cfg = write_config(
+        tmp_path, "clt.json", {"model": {"a0": 0.5, "a1": 0.5, "sigma": 1.0}, "n_list": [4], "replications": 4}
+    )
+    out = str(tmp_path / "rows.csv")
     monkeypatch.setenv("BMC_KERNEL_THREADS", "not-a-number")
-    cfg = write_config(tmp_path, "sim.json", SIM)
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+    assert main(["clt-check", "--config", cfg, "--out", out]) == 1
     monkeypatch.setenv("BMC_KERNEL_THREADS", "2")
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 0
+    assert main(["clt-check", "--config", cfg, "--out", out]) == 0
+    assert json.load(open(out + ".config.json"))["threads"] == 2
+    assert main(["clt-check", "--config", cfg, "--out", out, "--threads", "1"]) == 0
+    assert json.load(open(out + ".config.json"))["threads"] == 1
+
+
+def test_flags_only_where_they_have_an_effect(tmp_path):
+    cfg = write_config(tmp_path, "sim.json", SIM)
+    tree_path = str(tmp_path / "tree.csv")
+    assert main(["simulate", "--config", cfg, "--out", tree_path]) == 0
+    est_cfg = write_config(tmp_path, "est.json", {"estimator": "mu", "h": 0.4, "grid": [0.0]})
+    estimate = ["estimate", "--tree", tree_path, "--config", est_cfg, "--out", str(tmp_path / "o.csv")]
+    for extra in (["--threads", "2"], ["--seed", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(estimate + extra)
+        assert exc.value.code == 2  # argparse usage error
+    with pytest.raises(SystemExit):
+        main(["simulate", "--config", cfg, "--out", tree_path, "--population", "tree"])
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"estimator": "mu", "h": float("nan"), "grid": [0.0]},
+        {"estimator": "p", "h": 0.3, "bw": [float("nan"), 0.3, 0.3], "grid": {"x": [0.0], "x0": [0.0], "x1": [0.0]}},
+        {"estimator": "p", "h": float("nan"), "bw": [0.3, 0.3, 0.3], "grid": {"x": [0.0], "x0": [0.0], "x1": [0.0]}},
+    ],
+)
+def test_estimate_nonfinite_bandwidth_exit_1(tmp_path, doc):
+    cfg = write_config(tmp_path, "sim.json", SIM)
+    tree_path = str(tmp_path / "tree.csv")
+    assert main(["simulate", "--config", cfg, "--out", tree_path]) == 0
+    est_cfg = write_config(tmp_path, "est.json", doc)  # json writes NaN, which the schema lets through
+    out = str(tmp_path / "o.csv")
+    assert main(["estimate", "--tree", tree_path, "--config", est_cfg, "--out", out]) == 1
+    assert not os.path.exists(out)
 
 
 def test_missing_config_key_for_estimator(tmp_path):

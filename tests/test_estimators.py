@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from bmckde import estimators
 from bmckde.bar import BarParams, InitSpec, simulate
 from bmckde.estimators import (
     DENOMINATOR_FLOOR,
@@ -271,3 +273,55 @@ def test_empty_grid_rejected():
     s = simulate(BarParams(0.7, 0.5), 2, InitSpec.dirac(0.0), 1)
     with pytest.raises(ValueError):
         evaluate_on_grid(s, EstimatorSpec(kind="mu", population=Population.GEN_N, h=0.3), np.array([]))
+
+
+def test_point_list_grid_rejected():
+    s = simulate(BarParams(0.7, 0.5), 2, InitSpec.dirac(0.0), 1)
+    spec = EstimatorSpec(kind="mu_tri", bw=BandwidthTriple.scalar(0.3))
+    with pytest.raises(ValueError):
+        evaluate_on_grid(s, spec, np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+def test_bad_bandwidth_rejected_by_grid_and_scalar_calls(h):
+    s = simulate(BarParams(0.7, 0.5), 3, InitSpec.dirac(0.0), 2)
+    bw = BandwidthTriple.scalar(0.3)
+    ax = np.array([0.0, 0.5])
+    with pytest.raises(ValueError):
+        mu_hat(s, Population.GEN_N, h, 0.0)
+    with pytest.raises(ValueError):
+        p_hat(s, Population.GEN_N, bw, h, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        evaluate_on_grid(s, EstimatorSpec(kind="mu", h=h), ax)
+    with pytest.raises(ValueError):
+        evaluate_on_grid(s, EstimatorSpec(kind="p", h=h, bw=bw), (ax, ax, ax))
+
+
+_axis_values = st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.4, 2.0]) | st.floats(-4, 4), min_size=1, max_size=4)
+_bandwidth = st.floats(0.05, 2.0)
+
+
+@given(
+    depth=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+    population=st.sampled_from(list(Population)),
+    hs=st.tuples(_bandwidth, _bandwidth, _bandwidth, _bandwidth),
+    axes=st.tuples(_axis_values, _axis_values, _axis_values),
+    block=st.sampled_from([1, 100, estimators._BLOCK_ENTRIES]),
+)
+@settings(max_examples=40, deadline=None)
+def test_grid_values_equal_scalar_calls_bitwise(depth, seed, population, hs, axes, block):
+    # small scratch caps split the grid into many blocks of one or a few rows
+    s = simulate(BarParams(0.7, 0.5), depth, InitSpec.dirac(0.0), seed)
+    h_den, bw = hs[0], BandwidthTriple(*hs[1:])
+    axes = tuple(np.array(a) for a in axes)
+    with mock.patch.object(estimators, "_BLOCK_ENTRIES", block):
+        mu = evaluate_on_grid(s, EstimatorSpec("mu", population, h=h_den), axes[0])
+        tri = evaluate_on_grid(s, EstimatorSpec("mu_tri", population, bw=bw), axes)
+        p = evaluate_on_grid(s, EstimatorSpec("p", population, h=h_den, bw=bw), axes)
+    scalar_mu = [mu_hat(s, population, h_den, x) for x in mu.points]
+    scalar_tri = [mu_tri_hat(s, population, bw, *pt) for pt in tri.points]
+    scalar_p = [p_hat(s, population, bw, h_den, *pt) for pt in p.points]
+    assert mu.values.tobytes() == np.array(scalar_mu).tobytes()
+    assert tri.values.tobytes() == np.array(scalar_tri).tobytes()
+    assert p.values.tobytes() == np.array(scalar_p).tobytes()

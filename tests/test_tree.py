@@ -3,27 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmckde.tree import (
-    NodeId,
-    Population,
-    TreeSample,
-    Triangle,
-    descendants_at_distance,
-    generation_size,
-    tree_size,
-    triangles,
-)
+from bmckde.tree import Population, TreeSample, tree_size
 
 
 def make_sample(n: int, seed: int = 0) -> TreeSample:
     rng = np.random.default_rng(seed)
     return TreeSample([rng.standard_normal(1 << k) for k in range(n + 2)])
-
-
-def test_generation_size_values():
-    assert generation_size(0) == 1
-    assert generation_size(10) == 1024
-    assert generation_size(3) == 8
 
 
 def test_tree_size_values():
@@ -34,30 +19,9 @@ def test_tree_size_values():
 
 def test_size_overflow_guards():
     with pytest.raises(OverflowError):
-        generation_size(63)
-    with pytest.raises(OverflowError):
         tree_size(63)
     with pytest.raises(ValueError):
-        generation_size(-1)
-
-
-def test_node_children_and_parent():
-    u = NodeId(1, 1)
-    assert u.child(0) == NodeId(2, 2)
-    assert u.child(1) == NodeId(2, 3)
-    assert u.child(0).parent() == u
-    assert u.child(1).parent() == u
-    with pytest.raises(ValueError):
-        NodeId(0, 0).parent()
-    with pytest.raises(ValueError):
-        NodeId(2, 4)
-
-
-@given(st.integers(0, 8), st.integers(0, 255))
-def test_parent_child_roundtrip(k, r):
-    u = NodeId(k, r % (1 << k))
-    for i in (0, 1):
-        assert u.child(i).parent() == u
+        tree_size(-1)
 
 
 def test_levels_must_be_powers_of_two():
@@ -69,46 +33,37 @@ def test_levels_must_be_powers_of_two():
 
 def test_triangle_counts():
     s0 = make_sample(0)
-    assert len(list(triangles(s0, Population.GEN_N))) == 1
+    assert all(a.size == 1 for a in s0.triangle_arrays(Population.GEN_N))
     s2 = make_sample(2)
-    assert len(list(triangles(s2, Population.TREE_N))) == 7
-    gen = list(triangles(s2, Population.GEN_N))
-    assert len(gen) == 4
-    assert [t.parent for t in gen] == list(s2.level(2))
+    assert all(a.size == 7 for a in s2.triangle_arrays(Population.TREE_N))
+    gen = s2.triangle_arrays(Population.GEN_N)
+    assert all(a.size == 4 for a in gen)
+    assert np.array_equal(gen[0], s2.level(2))
 
 
 def test_triangles_match_node_addressing():
+    # triangle r of generation 3 is node (3, r) with daughters (4, 2r), (4, 2r+1)
     s = make_sample(3, seed=5)
-    for idx, tri in enumerate(triangles(s, Population.GEN_N)):
-        u = NodeId(3, idx)
-        assert tri == Triangle(s.value(u), s.value(u.child(0)), s.value(u.child(1)))
+    parents, c0, c1 = s.triangle_arrays(Population.GEN_N)
+    for r in range(8):
+        assert (parents[r], c0[r], c1[r]) == (s.level(3)[r], s.level(4)[2 * r], s.level(4)[2 * r + 1])
 
 
 def test_tree_population_is_union_of_generations():
     s = make_sample(3, seed=2)
-    per_gen = []
-    for k in range(4):
-        sub = TreeSample([s.level(j) for j in range(k + 2)])
-        per_gen.extend(triangles(sub, Population.GEN_N))
-    assert per_gen == list(triangles(s, Population.TREE_N))
+    per_gen = [TreeSample([s.level(j) for j in range(k + 2)]).triangle_arrays(Population.GEN_N) for k in range(4)]
+    whole = s.triangle_arrays(Population.TREE_N)
+    for col in range(3):
+        assert np.array_equal(np.concatenate([t[col] for t in per_gen]), whole[col])
 
 
 @given(st.integers(0, 6))
 @settings(max_examples=20)
 def test_children_enumerate_next_generation(k):
-    nodes = [NodeId(k, r) for r in range(1 << k)]
-    children = [c.rank for u in nodes for c in (u.child(0), u.child(1))]
-    assert children == list(range(1 << (k + 1)))
-
-
-def test_descendants_at_distance():
-    s = make_sample(2)
-    assert descendants_at_distance(s, NodeId(0, 0), 2) == [NodeId(2, r) for r in range(4)]
-    assert descendants_at_distance(s, NodeId(1, 1), 1) == [NodeId(2, 2), NodeId(2, 3)]
-    u = NodeId(2, 3)
-    assert descendants_at_distance(s, u, 0) == [u]
-    with pytest.raises(ValueError):
-        descendants_at_distance(s, NodeId(2, 0), 2)
+    # the daughters of generation k, interleaved, are exactly level k+1
+    s = make_sample(k, seed=k)
+    _, c0, c1 = s.triangle_arrays(Population.GEN_N)
+    assert np.array_equal(np.column_stack([c0, c1]).ravel(), s.level(k + 1))
 
 
 def test_csv_roundtrip(tmp_path):
