@@ -1,9 +1,12 @@
 """Command-line surface: simulation, estimation, selection, and verification runs.
 
 Configs are JSON documents validated against per-command schemas (unknown
-keys rejected).  Output files are written to a temporary name and renamed,
-so failures leave no partial files, and every file-producing command drops a
-sidecar JSON with the fully resolved config next to its output.
+keys rejected).  The schema is the one place a command's defaults are
+declared: ``load_config`` copies in the flags, fills every default and
+validates the result, and every file-producing command drops that resolved
+config as a sidecar JSON next to its output, so passing the sidecar back as
+``--config`` reproduces the run.  Output files are written to a temporary
+name and renamed, so failures leave no partial files.
 
 Exit codes: 0 success, 1 config/validation error, 2 runtime error.
 """
@@ -11,6 +14,7 @@ Exit codes: 0 success, 1 config/validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import io
 import json
@@ -37,7 +41,7 @@ from .harness import (
     write_figure_outputs,
 )
 from .oracle import moment_check_table
-from .rot import rot_select
+from .rot import DEFAULT_LAG, rot_select
 from .tree import Population, TreeSample
 
 
@@ -60,24 +64,35 @@ _AXIS = {
 _MODEL_PROPS = {
     "a0": {"type": "number"},
     "a1": {"type": "number"},
-    "b0": {"type": "number"},
-    "b1": {"type": "number"},
+    "b0": {"type": "number", "default": BarParams.b0},
+    "b1": {"type": "number", "default": BarParams.b1},
     "sigma": {"type": "number"},
-    "rho": {"type": "number"},
+    "rho": {"type": "number", "default": BarParams.rho},
 }
+
+
+def _selector_kind(kind: str, props: dict, required: tuple = ()) -> dict:
+    # keys that have no effect for the kind are rejected
+    then = {"properties": {"kind": {}, **props}, "required": list(required), "additionalProperties": False}
+    return {"if": {"properties": {"kind": {"const": kind}}, "required": ["kind"]}, "then": then}
+
 
 _SELECTOR = {
     "type": "object",
-    "properties": {
-        "kind": {"enum": ["fixed", "cv", "rot"]},
-        "gamma": {"type": "number"},
-        "K": {"type": "integer", "minimum": 2},
-        "grid_size": {"type": "integer", "minimum": 1},
-        "grid": {"type": "array", "items": {"type": "number"}},
-        "m": {"type": "integer", "minimum": 1},
-    },
+    "properties": {"kind": {"enum": ["fixed", "cv", "rot"]}},
     "required": ["kind"],
-    "additionalProperties": False,
+    "allOf": [
+        _selector_kind("fixed", {"gamma": {"type": "number"}}, ("gamma",)),
+        _selector_kind(
+            "cv",
+            {
+                "K": {"type": "integer", "minimum": 2, "default": CvSelector.K},
+                "grid_size": {"type": "integer", "minimum": 1, "default": CvSelector.grid_size},
+                "grid": {"type": "array", "items": {"type": "number"}},
+            },
+        ),
+        _selector_kind("rot", {"m": {"type": "integer", "minimum": 1, "default": DEFAULT_LAG}}),
+    ],
 }
 
 SCHEMAS = {
@@ -85,11 +100,10 @@ SCHEMAS = {
         "type": "object",
         "properties": {
             **_MODEL_PROPS,
-            "init": {"enum": ["dirac", "stationary"]},
-            "x0": {"type": "number"},
-            "seed": {"type": "integer"},
+            "init": {"enum": ["dirac", "stationary"], "default": "dirac"},
+            "x0": {"type": "number", "default": 0.0},
+            "seed": {"type": "integer", "default": 0},
             "n": {"type": "integer", "minimum": 0},
-            "format": {"enum": ["csv", "raw"]},
         },
         "required": ["a0", "a1", "sigma", "n"],
         "additionalProperties": False,
@@ -98,7 +112,7 @@ SCHEMAS = {
         "type": "object",
         "properties": {
             "estimator": {"enum": ["mu", "mu_tri", "p"]},
-            "population": {"enum": ["gen", "tree"]},
+            "population": {"enum": ["gen", "tree"], "default": "gen"},
             "h": {"type": "number", "exclusiveMinimum": 0},
             "bw": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 3, "maxItems": 3},
             "grid": {
@@ -120,29 +134,29 @@ SCHEMAS = {
     "cv-select": {
         "type": "object",
         "properties": {
-            "K": {"type": "integer", "minimum": 2},
-            "grid": _AXIS,
-            "seed": {"type": "integer"},
+            "K": {"type": "integer", "minimum": 2, "default": 5},
+            "grid": _AXIS,  # default_grid(depth) when absent, recorded in the sidecar
+            "seed": {"type": "integer", "default": 0},
         },
         "additionalProperties": False,
     },
     "rot-select": {
         "type": "object",
-        "properties": {"m": {"type": "integer", "minimum": 1}},
+        "properties": {"m": {"type": "integer", "minimum": 1, "default": DEFAULT_LAG}},
         "additionalProperties": False,
     },
     "clt-check": {
         "type": "object",
         "properties": {
             "model": {"type": "object", "properties": _MODEL_PROPS, "required": ["a0", "a1", "sigma"], "additionalProperties": False},
-            "statistic": {"enum": ["p_hat", "mu_tri"]},
+            "statistic": {"enum": ["p_hat", "mu_tri"], "default": "p_hat"},
             "n_list": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 1},
             "replications": {"type": "integer", "minimum": 1},
-            "point": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
-            "population": {"enum": ["gen", "tree"]},
-            "selector": _SELECTOR,
-            "seed": {"type": "integer"},
-            "threads": {"type": "integer", "minimum": 1},
+            "point": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3, "default": list(ExperimentSpec.point)},
+            "population": {"enum": ["gen", "tree"], "default": ExperimentSpec.population.value},
+            "selector": {**_SELECTOR, "default": {"kind": "fixed", "gamma": ExperimentSpec.selector.gamma}},
+            "seed": {"type": "integer", "default": ExperimentSpec.seed},
+            "threads": {"type": "integer", "minimum": 1, "default": ExperimentSpec.threads},
         },
         "required": ["model", "n_list", "replications"],
         "additionalProperties": False,
@@ -151,11 +165,14 @@ SCHEMAS = {
         "type": "object",
         "properties": {
             **_MODEL_PROPS,
-            "x": {"type": "number"},
-            "n": {"type": "integer", "minimum": 0, "maximum": 5},
-            "m": {"type": "integer", "minimum": 0},
-            "replications": {"type": "integer", "minimum": 10},
-            "seed": {"type": "integer"},
+            "a0": {"type": "number", "default": 0.5},
+            "a1": {"type": "number", "default": 0.5},
+            "sigma": {"type": "number", "default": BarParams.sigma},
+            "x": {"type": "number", "default": 0.5},
+            "n": {"type": "integer", "minimum": 0, "maximum": 5, "default": 3},
+            "m": {"type": "integer", "minimum": 0, "default": 2},
+            "replications": {"type": "integer", "minimum": 10, "default": 2000},
+            "seed": {"type": "integer", "default": 0},
         },
         "additionalProperties": False,
     },
@@ -164,19 +181,20 @@ SCHEMAS = {
         "properties": {
             "case": {"enum": ["1", "2", "case1", "case2"]},
             "selector": _SELECTOR,
-            "n_list": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 1},
-            "seeds": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer"},
+            "n_list": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 1, "default": [10, 12, 14]},
+            "seeds": {"type": "integer", "minimum": 1, "default": 3},
+            "seed": {"type": "integer", "default": 0},
             "grid": {
                 "type": "object",
                 "properties": {
-                    "slice_x": {"type": "number"},
-                    "half_width": {"type": "number", "exclusiveMinimum": 0},
-                    "points_per_axis": {"type": "integer", "minimum": 2},
+                    "slice_x": {"type": "number", "default": FigureGrid.slice_x},
+                    "half_width": {"type": "number", "exclusiveMinimum": 0, "default": FigureGrid.half_width},
+                    "points_per_axis": {"type": "integer", "minimum": 2, "default": FigureGrid.points_per_axis},
                 },
                 "additionalProperties": False,
+                "default": {},
             },
-            "gnuplot": {"type": "boolean"},
+            "gnuplot": {"type": "boolean", "default": False},
         },
         "required": ["case", "selector"],
         "additionalProperties": False,
@@ -184,7 +202,24 @@ SCHEMAS = {
 }
 
 
-def load_config(path: str | None, command: str) -> dict:
+def _fill_defaults(doc, schema: dict) -> None:
+    """Add every absent property that declares a default, recursing into objects
+    and into the conditional branches (``allOf`` of ``if``/``then``) ``doc`` selects."""
+    if not isinstance(doc, dict):
+        return
+    branches = [c["then"] for c in schema.get("allOf", ()) if jsonschema.Draft202012Validator(c["if"]).is_valid(doc)]
+    for sub in (schema, *branches):
+        for key, prop in sub.get("properties", {}).items():
+            if key not in doc and "default" in prop:
+                doc[key] = copy.deepcopy(prop["default"])
+            if key in doc:
+                _fill_defaults(doc[key], prop)
+
+
+def load_config(args, command: str) -> dict:
+    """The resolved config: the file, then the flags given, then every schema
+    default, validated as a whole."""
+    path = args.config
     if path is None:
         cfg = {}
     else:
@@ -195,6 +230,11 @@ def load_config(path: str | None, command: str) -> dict:
             raise ConfigError(f"cannot read config {path}: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}:{e.lineno}:{e.colno}: malformed JSON: {e.msg}") from e
+    if isinstance(cfg, dict):
+        for flag in ("seed", "population", "threads"):
+            if getattr(args, flag, None) is not None:
+                cfg[flag] = getattr(args, flag)
+    _fill_defaults(cfg, SCHEMAS[command])
     try:
         jsonschema.validate(cfg, SCHEMAS[command])
     except jsonschema.ValidationError as e:
@@ -215,8 +255,8 @@ def atomic_write(path: str, write_fn) -> None:
         raise
 
 
-def _write_sidecar(out: str, config: dict) -> None:
-    atomic_write(out + ".config.json", lambda p: _dump_json(p, config))
+def _write_json(path: str, obj) -> None:
+    atomic_write(path, lambda p: _dump_json(p, obj))
 
 
 def _dump_json(path: str, obj) -> None:
@@ -232,32 +272,16 @@ def _axis(spec) -> np.ndarray:
 
 
 def _model(cfg: dict) -> BarParams:
-    try:
-        return BarParams(
-            a0=cfg["a0"],
-            a1=cfg["a1"],
-            b0=cfg.get("b0", 0.0),
-            b1=cfg.get("b1", 0.0),
-            sigma=cfg["sigma"],
-            rho=cfg.get("rho", 0.0),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return BarParams(**{key: cfg[key] for key in _MODEL_PROPS})
 
 
 def _selector(cfg: dict):
     kind = cfg["kind"]
     if kind == "fixed":
-        if "gamma" not in cfg:
-            raise ConfigError("fixed selector needs gamma")
         return FixedGamma(cfg["gamma"])
     if kind == "cv":
-        return CvSelector(
-            K=cfg.get("K", 5),
-            grid_size=cfg.get("grid_size", 32),
-            grid=tuple(cfg["grid"]) if "grid" in cfg else None,
-        )
-    return RotSelector(m=cfg.get("m"))
+        return CvSelector(K=cfg["K"], grid_size=cfg["grid_size"], grid=tuple(cfg["grid"]) if "grid" in cfg else None)
+    return RotSelector(m=cfg["m"])
 
 
 def _load_tree(path: str) -> TreeSample:
@@ -267,76 +291,45 @@ def _load_tree(path: str) -> TreeSample:
         raise ConfigError(f"cannot load tree {path}: {e}") from e
 
 
-# -- subcommand handlers -------------------------------------------------------
+# -- subcommand handlers: each reads only its resolved config ------------------
 
 
-def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config, "simulate")
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("init", "dirac")
-    cfg.setdefault("x0", 0.0)
-    cfg.setdefault("format", "raw" if args.out.endswith(".f64") else "csv")
-    for key in ("b0", "b1", "rho"):
-        cfg.setdefault(key, 0.0)
-    params = _model(cfg)
+def _cmd_simulate(args, cfg: dict) -> int:
     init = InitSpec.dirac(cfg["x0"]) if cfg["init"] == "dirac" else InitSpec.stationary()
     try:
-        sample = simulate(params, cfg["n"], init, cfg["seed"])
+        sample = simulate(_model(cfg), cfg["n"], init, cfg["seed"])
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    writer = sample.to_raw if cfg["format"] == "raw" else sample.to_csv
-    atomic_write(args.out, writer)
-    _write_sidecar(args.out, cfg)
+    atomic_write(args.out, sample.to_raw if args.out.endswith(".f64") else sample.to_csv)
     return 0
 
 
-def _cmd_estimate(args) -> int:
-    cfg = load_config(args.config, "estimate")
-    cfg.setdefault("population", args.population or "gen")
-    if args.population:
-        cfg["population"] = args.population
+def _cmd_estimate(args, cfg: dict) -> int:
     sample = _load_tree(args.tree)
-    population = Population(cfg["population"])
-    kind = cfg["estimator"]
+    kind, g = cfg["estimator"], cfg["grid"]
+    if (kind == "mu") == (isinstance(g, dict) and "x" in g):
+        shape = "one axis ({min:, max:, num:} or a list)" if kind == "mu" else "{x:, x0:, x1:}"
+        raise ConfigError(f"{kind} estimator needs grid = {shape}")
+    grid = _axis(g) if kind == "mu" else (_axis(g["x"]), _axis(g["x0"]), _axis(g["x1"]))
     try:
         bw = BandwidthTriple(*cfg["bw"]) if "bw" in cfg else None
-        if kind == "mu":
-            if "h" not in cfg:
-                raise ConfigError("mu estimator needs h")
-            grid = _axis(cfg["grid"])
-            spec = EstimatorSpec(kind="mu", population=population, h=cfg["h"])
-        else:
-            if bw is None:
-                raise ConfigError(f"{kind} estimator needs bw = [h, h0, h1]")
-            if kind == "p" and "h" not in cfg:
-                raise ConfigError("p estimator needs the denominator bandwidth h")
-            g = cfg["grid"]
-            if not (isinstance(g, dict) and "x" in g):
-                raise ConfigError("3-d estimators need grid = {x:, x0:, x1:}")
-            grid = (_axis(g["x"]), _axis(g["x0"]), _axis(g["x1"]))
-            spec = EstimatorSpec(kind=kind, population=population, h=cfg.get("h"), bw=bw)
+        spec = EstimatorSpec(kind=kind, population=Population(cfg["population"]), h=cfg.get("h"), bw=bw)
         est = evaluate_on_grid(sample, spec, grid)
     except ValueError as e:
         raise ConfigError(str(e)) from e
     atomic_write(args.out, est.to_csv)
-    _write_sidecar(args.out, cfg)
+    _write_json(args.out + ".meta.json", est.meta)
     return 0
 
 
-def _cmd_cv_select(args) -> int:
-    cfg = load_config(args.config, "cv-select")
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("K", 5)
+def _cmd_cv_select(args, cfg: dict) -> int:
     sample = _load_tree(args.tree)
-    grid = _axis(cfg["grid"]) if "grid" in cfg else None
     try:
-        res = cv_select(sample, K=cfg["K"], grid=grid, seed=cfg["seed"])
+        res = cv_select(sample, K=cfg["K"], grid=_axis(cfg["grid"]) if "grid" in cfg else None, seed=cfg["seed"])
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    if "grid" not in cfg:  # the default candidates depend on the tree's depth
+        cfg["grid"] = res.grid.tolist()
 
     def write_scores(path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -346,16 +339,14 @@ def _cmd_cv_select(args) -> int:
 
     atomic_write(args.out, write_scores)
     selection = {"h_D_hat": res.h_d_hat, "h_N_hat": res.h_n_hat, "K": res.K, "seed": res.seed}
-    atomic_write(os.path.splitext(args.out)[0] + ".json", lambda p: _dump_json(p, selection))
-    _write_sidecar(args.out, cfg)
+    _write_json(os.path.splitext(args.out)[0] + ".json", selection)
     return 0
 
 
-def _cmd_rot_select(args) -> int:
-    cfg = load_config(args.config, "rot-select")
+def _cmd_rot_select(args, cfg: dict) -> int:
     sample = _load_tree(args.tree)
     try:
-        sel = rot_select(sample, cfg.get("m"))
+        sel = rot_select(sample, cfg["m"])
     except ValueError as e:
         raise ConfigError(str(e)) from e
     doc = {
@@ -370,32 +361,11 @@ def _cmd_rot_select(args) -> int:
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
     if args.out:
-        atomic_write(args.out, lambda p: _dump_json(p, doc))
-        _write_sidecar(args.out, cfg)
+        _write_json(args.out, doc)
     return 0
 
 
-def _cmd_clt_check(args) -> int:
-    cfg = load_config(args.config, "clt-check")
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    threads = args.threads
-    if threads is None and "BMC_KERNEL_THREADS" in os.environ:
-        env = os.environ["BMC_KERNEL_THREADS"]
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ConfigError(f"BMC_KERNEL_THREADS={env!r} is not an integer") from None
-    if threads is not None:
-        cfg["threads"] = threads
-    if args.population:
-        cfg["population"] = args.population
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("threads", 1)
-    cfg.setdefault("statistic", "p_hat")
-    cfg.setdefault("point", [0.0, 0.0, 0.0])
-    cfg.setdefault("population", "gen")
-    cfg.setdefault("selector", {"kind": "fixed", "gamma": 0.2})
+def _cmd_clt_check(args, cfg: dict) -> int:
     try:
         spec = ExperimentSpec(
             model=_model(cfg["model"]),
@@ -412,23 +382,15 @@ def _cmd_clt_check(args) -> int:
     except ValueError as e:
         raise ConfigError(str(e)) from e
     atomic_write(args.out, report.to_csv)
-    atomic_write(
-        os.path.splitext(args.out)[0] + ".summary.json",
-        lambda p: _dump_json(p, report.summaries),
-    )
-    _write_sidecar(args.out, cfg)
+    _write_json(os.path.splitext(args.out)[0] + ".summary.json", report.summaries)
     return 0
 
 
-def _cmd_oracle_check(args) -> int:
-    cfg = load_config(args.config, "oracle-check")
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    defaults = dict(a0=0.5, a1=0.5, b0=0.0, b1=0.0, sigma=1.0, rho=0.0, x=0.5, n=3, m=2, replications=2000, seed=0)
-    for k, v in defaults.items():
-        cfg.setdefault(k, v)
-    params = _model(cfg)
-    rows = moment_check_table(params, cfg["x"], cfg["n"], cfg["m"], cfg["replications"], cfg["seed"])
+def _cmd_oracle_check(args, cfg: dict) -> int:
+    try:
+        rows = moment_check_table(_model(cfg), cfg["x"], cfg["n"], cfg["m"], cfg["replications"], cfg["seed"])
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["formula", "mc_estimate", "se", "quadrature", "z_score", "status"])
@@ -437,23 +399,10 @@ def _cmd_oracle_check(args) -> int:
     print(buf.getvalue(), end="")
     if args.out:
         atomic_write(args.out, lambda p: open(p, "w").write(buf.getvalue()))
-        _write_sidecar(args.out, cfg)
     return 0 if all(r.passed for r in rows) else 2
 
 
-def _cmd_reproduce_figures(args) -> int:
-    cfg = load_config(args.config, "reproduce-figures")
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("seeds", 3)
-    cfg.setdefault("n_list", [10, 12, 14])
-    cfg.setdefault("grid", {})
-    grid = FigureGrid(
-        slice_x=cfg["grid"].get("slice_x", 0.0),
-        half_width=cfg["grid"].get("half_width", 3.0),
-        points_per_axis=cfg["grid"].get("points_per_axis", 21),
-    )
+def _cmd_reproduce_figures(args, cfg: dict) -> int:
     try:
         runs = run_figure_reproduction(
             case=cfg["case"],
@@ -461,7 +410,7 @@ def _cmd_reproduce_figures(args) -> int:
             n_list=cfg["n_list"],
             n_seeds=cfg["seeds"],
             seed=cfg["seed"],
-            grid=grid,
+            grid=FigureGrid(**cfg["grid"]),
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -471,9 +420,8 @@ def _cmd_reproduce_figures(args) -> int:
         os.path.join(args.out, "mean_sup_errors.json"),
         {str(n): v for n, v in mean_sup_errors(runs).items()},
     )
-    if cfg.get("gnuplot"):
+    if cfg["gnuplot"]:
         gnuplot_script(runs, args.out)
-    _write_sidecar(os.path.join(args.out, "run"), cfg)
     return 0
 
 
@@ -494,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", required=True, help="output directory" if out_is_dir else "output file")
         else:
             p.add_argument("--out", default=None)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, out_is_dir=out_is_dir)
         return p
 
     add("simulate", _cmd_simulate, seed=True)
@@ -511,7 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        cfg = load_config(args, args.command)
+        code = args.handler(args, cfg)
+        if args.out:  # the sidecar is the resolved config the run used
+            _write_json((os.path.join(args.out, "run") if args.out_is_dir else args.out) + ".config.json", cfg)
+        return code
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -154,7 +154,7 @@ def cv_select(
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty bandwidth grid")
-    if np.any(grid <= 0) or np.any(grid > 1) or np.any(np.diff(grid) <= 0):
+    if not np.all((grid > 0) & (grid <= 1)) or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing within (0, 1]")
     partition = make_folds(n, K, seed)
     j_den, j_num = _fold_scores(sample, partition, grid)

@@ -9,7 +9,6 @@ evaluations agree bitwise with scalar calls by construction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -149,9 +148,6 @@ class DensityEstimate:
             pts = self.points if self.points.ndim == 2 else self.points[:, None]
             for row, v in zip(pts, self.values):
                 fh.write(",".join(repr(float(c)) for c in row) + f",{float(v)!r}\n")
-        with open(path + ".meta.json", "w") as fh:
-            json.dump(self.meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def product_points(xs: np.ndarray, x0s: np.ndarray, x1s: np.ndarray) -> np.ndarray:

@@ -256,6 +256,8 @@ def moment_check_table(
     from .bar import InitSpec, simulate
     from .rng import derive_seed
 
+    if not 0 <= m <= n <= 5:
+        raise ValueError("need 0 <= m <= n <= 5")
     if grid is None:
         grid = default_grid(params)
     f_id = grid_function(grid, lambda y: y)

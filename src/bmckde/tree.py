@@ -111,7 +111,11 @@ class TreeSample:
                 if not line.strip():
                     continue
                 k_s, r_s, v_s = line.split(",")
-                levels.setdefault(int(k_s), {})[int(r_s)] = float(v_s)
+                k, r = int(k_s), int(r_s)
+                level = levels.setdefault(k, {})
+                if r in level:
+                    raise ValueError(f"duplicate row for generation {k}, rank {r}")
+                level[r] = float(v_s)
         if not levels or sorted(levels) != list(range(len(levels))):
             raise ValueError("levels must be contiguous from 0")
         out = []
@@ -120,7 +124,7 @@ class TreeSample:
             if sorted(lv) != list(range(1 << k)):
                 raise ValueError(f"level {k} incomplete")
             out.append(np.array([lv[r] for r in range(1 << k)]))
-        return cls(out)
+        return cls._from_file(out)
 
     def to_raw(self, path: str) -> None:
         """Little-endian float64 dump, levels concatenated in order."""
@@ -139,5 +143,13 @@ class TreeSample:
         for k in range(n_levels):
             levels.append(flat[off : off + (1 << k)])
             off += 1 << k
+        return cls._from_file(levels)
+
+    @classmethod
+    def _from_file(cls, levels: list[np.ndarray]) -> "TreeSample":
+        # Values read from outside must be finite.  The constructor does not
+        # check this: every simulated tree is built through it.
+        if not all(np.isfinite(lv).all() for lv in levels):
+            raise ValueError("tree values must be finite (NaN or infinity found)")
         return cls(levels)
 

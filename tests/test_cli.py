@@ -27,9 +27,11 @@ def test_simulate_roundtrips_exactly(tmp_path):
     loaded = TreeSample.from_csv(out)
     direct = simulate(BarParams(0.5, 0.5), 4, InitSpec.dirac(0.0), 9)
     assert loaded == direct
-    # sidecar with resolved defaults
+    # sidecar with resolved defaults; the output extension alone picks the format
     side = json.load(open(out + ".config.json"))
-    assert side["rho"] == 0.0 and side["format"] == "csv"
+    assert side["rho"] == 0.0 and "format" not in side
+    raw_key = write_config(tmp_path, "raw.json", {**SIM, "format": "raw"})
+    assert main(["simulate", "--config", raw_key, "--out", out]) == 1
 
 
 def test_simulate_raw_format(tmp_path):
@@ -207,18 +209,20 @@ def test_reproduce_figures_outputs(tmp_path):
     assert any(n.endswith("run.config.json") for n in names)
 
 
-def test_env_var_thread_fallback(tmp_path, monkeypatch):
+def test_threads_flag_overrides_config_and_is_validated(tmp_path, monkeypatch):
     cfg = write_config(
-        tmp_path, "clt.json", {"model": {"a0": 0.5, "a1": 0.5, "sigma": 1.0}, "n_list": [4], "replications": 4}
+        tmp_path,
+        "clt.json",
+        {"model": {"a0": 0.5, "a1": 0.5, "sigma": 1.0}, "n_list": [4], "replications": 4, "threads": 2},
     )
     out = str(tmp_path / "rows.csv")
-    monkeypatch.setenv("BMC_KERNEL_THREADS", "not-a-number")
-    assert main(["clt-check", "--config", cfg, "--out", out]) == 1
-    monkeypatch.setenv("BMC_KERNEL_THREADS", "2")
+    monkeypatch.setenv("BMC_KERNEL_THREADS", "not-a-number")  # the environment does not size the pool
     assert main(["clt-check", "--config", cfg, "--out", out]) == 0
     assert json.load(open(out + ".config.json"))["threads"] == 2
     assert main(["clt-check", "--config", cfg, "--out", out, "--threads", "1"]) == 0
     assert json.load(open(out + ".config.json"))["threads"] == 1
+    for bad in ("0", "-3"):  # flag values are checked against the schema like config values
+        assert main(["clt-check", "--config", cfg, "--out", out, "--threads", bad]) == 1
 
 
 def test_flags_only_where_they_have_an_effect(tmp_path):
@@ -259,3 +263,188 @@ def test_missing_config_key_for_estimator(tmp_path):
     main(["simulate", "--config", cfg, "--out", tree_path])
     est_cfg = write_config(tmp_path, "est.json", {"estimator": "mu", "grid": [0.0, 1.0]})
     assert main(["estimate", "--tree", tree_path, "--config", est_cfg, "--out", str(tmp_path / "o.csv")]) == 1
+
+
+def test_estimate_writes_meta_next_to_output(tmp_path):
+    tree_path = str(tmp_path / "tree.csv")
+    assert main(["simulate", "--config", write_config(tmp_path, "sim.json", SIM), "--out", tree_path]) == 0
+    est_cfg = write_config(tmp_path, "est.json", {"estimator": "mu", "h": 0.3, "grid": {"min": -1, "max": 1, "num": 5}})
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["estimate", "--tree", tree_path, "--config", est_cfg, "--out", str(out_dir / "phat.csv")]) == 0
+    assert sorted(os.listdir(out_dir)) == ["phat.csv", "phat.csv.config.json", "phat.csv.meta.json"]
+    meta = json.load(open(out_dir / "phat.csv.meta.json"))
+    assert meta["estimator"] == "mu" and meta["h"] == 0.3 and meta["sample_size"] == 16
+
+
+# -- sidecars re-run their command ---------------------------------------------
+
+CLT_MODEL = {"a0": 0.5, "a1": 0.5, "sigma": 1.0}
+OUTPUTS = {
+    "simulate": "tree.csv",
+    "estimate": "phat.csv",
+    "cv-select": "scores.csv",
+    "rot-select": "r.json",
+    "clt-check": "rows.csv",
+    "oracle-check": "oracle.csv",
+    "reproduce-figures": "figures",
+}
+TREE_COMMANDS = ("estimate", "cv-select", "rot-select")
+
+# (command, config or None for no --config, key paths the sidecar must hold);
+# the first config of each command has the README's keys at smaller sizes,
+# the second only the required keys
+RERUN_CASES = [
+    ("simulate", {"a0": 0.7, "a1": 0.5, "sigma": 1.0, "n": 6, "seed": 1, "init": "dirac"}, ["x0", "rho"]),
+    ("simulate", {"a0": 0.7, "a1": 0.5, "sigma": 1.0, "n": 6}, ["seed", "init", "x0", "b0", "b1", "rho"]),
+    (
+        "estimate",
+        {
+            "estimator": "p",
+            "h": 0.2,
+            "bw": [0.3, 0.3, 0.3],
+            "grid": {"x": [0.0], "x0": {"min": -3, "max": 3, "num": 5}, "x1": {"min": -3, "max": 3, "num": 5}},
+        },
+        ["population"],
+    ),
+    ("estimate", {"estimator": "mu", "h": 0.3, "grid": [0.0, 0.5]}, ["population"]),
+    ("cv-select", {"K": 5, "grid": {"min": 0.05, "max": 1.0, "num": 16}, "seed": 1}, ["grid", "K", "seed"]),
+    ("cv-select", None, ["grid", "K", "seed"]),
+    ("rot-select", None, ["m"]),
+    ("rot-select", {"m": 2}, ["m"]),
+    (
+        "clt-check",
+        {
+            "model": CLT_MODEL,
+            "statistic": "p_hat",
+            "n_list": [4, 5],
+            "replications": 8,
+            "selector": {"kind": "fixed", "gamma": 0.2},
+            "seed": 0,
+            "threads": 2,
+        },
+        ["model/b0", "model/b1", "model/rho", "point", "population"],
+    ),
+    (
+        "clt-check",
+        {"model": CLT_MODEL, "n_list": [4], "replications": 4},
+        ["model/rho", "statistic", "point", "population", "selector/kind", "selector/gamma", "seed", "threads"],
+    ),
+    ("oracle-check", None, ["a0", "a1", "b0", "b1", "sigma", "rho", "x", "n", "m", "replications", "seed"]),
+    ("oracle-check", {"n": 2, "m": 1, "replications": 400, "seed": 1}, ["a0", "x"]),
+    (
+        "reproduce-figures",
+        {"case": "1", "selector": {"kind": "rot"}, "n_list": [4, 5], "seeds": 2, "gnuplot": True},
+        ["selector/m", "seed", "grid/slice_x", "grid/half_width", "grid/points_per_axis"],
+    ),
+    (
+        "reproduce-figures",
+        {"case": "1", "selector": {"kind": "cv", "K": 5, "grid_size": 8}, "n_list": [5, 6], "seeds": 2, "gnuplot": True},
+        ["selector/K", "selector/grid_size", "grid/points_per_axis"],
+    ),
+    (
+        "reproduce-figures",
+        {"case": "2", "selector": {"kind": "fixed", "gamma": 0.2}},
+        ["n_list", "seeds", "seed", "grid/slice_x", "grid/half_width", "grid/points_per_axis", "gnuplot"],
+    ),
+]
+
+
+def _defaults_missing(doc: dict, schema: dict, prefix: str = "") -> list[str]:
+    """Paths of schema properties with a default that ``doc`` lacks, following
+    the selector branch its ``kind`` picks."""
+    subs = [schema] + [
+        c["then"] for c in schema.get("allOf", []) if c["if"]["properties"]["kind"]["const"] == doc.get("kind")
+    ]
+    missing = []
+    for sub in subs:
+        for key, prop in sub.get("properties", {}).items():
+            if key not in doc:
+                missing += [prefix + key] if "default" in prop else []
+            elif isinstance(doc[key], dict):
+                missing += _defaults_missing(doc[key], prop, f"{prefix}{key}/")
+    return missing
+
+
+def _run_into(out_dir, command, config, tree, capsys):
+    """Run one command with its outputs under out_dir; (exit code, stdout, {relative path: bytes})."""
+    os.makedirs(out_dir)
+    argv = [command, "--out", os.path.join(out_dir, OUTPUTS[command])]
+    argv += ["--config", config] if config else []
+    argv += ["--tree", tree] if command in TREE_COMMANDS else []
+    code = main(argv)
+    files = {}
+    for root, _, names in os.walk(out_dir):
+        for name in names:
+            path = os.path.join(root, name)
+            files[os.path.relpath(path, out_dir)] = open(path, "rb").read()
+    return code, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("command,doc,named", RERUN_CASES, ids=lambda v: v if isinstance(v, str) else None)
+def test_sidecar_holds_every_default_and_reruns_the_command(tmp_path, capsys, command, doc, named):
+    from bmckde.cli import SCHEMAS
+
+    tree = str(tmp_path / "tree.csv")
+    simulate(BarParams(0.7, 0.5), 6, InitSpec.dirac(0.0), 3).to_csv(tree)
+    config = write_config(tmp_path, "cfg.json", doc) if doc is not None else None
+    code, stdout, first = _run_into(str(tmp_path / "a"), command, config, tree, capsys)
+    assert code == 0
+    sidecar = os.path.join("figures", "run.config.json") if command == "reproduce-figures" else OUTPUTS[command] + ".config.json"
+    side = json.loads(first[sidecar])
+    assert _defaults_missing(side, SCHEMAS[command]) == []
+    for path in named:
+        node = side
+        for key in path.split("/"):
+            assert key in node, f"sidecar lacks {path}"
+            node = node[key]
+    assert not any(".tmp." in name for name in first)
+    rerun = _run_into(str(tmp_path / "b"), command, str(tmp_path / "a" / sidecar), tree, capsys)
+    assert rerun == (0, stdout, first)
+
+
+# -- every invalid-config class exits 1 and writes nothing ---------------------
+
+NAN = float("nan")
+CLT_MIN = {"model": CLT_MODEL, "n_list": [4], "replications": 4}
+MU = {"estimator": "mu", "h": 0.3, "grid": [0.0]}
+
+# (command, config document or raw text, tree file edit or None, extra flags)
+INVALID = {
+    "unknown key": ("simulate", {**SIM, "bogus": 1}, None, []),
+    "malformed JSON": ("simulate", '{"a0": 0.5,\n  "oops"\n}', None, []),
+    "NaN h": ("estimate", {**MU, "h": NAN}, None, []),
+    "NaN CV grid": ("cv-select", {"K": 2, "grid": [NAN]}, None, []),
+    "oracle m > n": ("oracle-check", {"n": 2, "m": 4}, None, []),
+    "threads 0": ("clt-check", CLT_MIN, None, ["--threads", "0"]),
+    "threads -3": ("clt-check", CLT_MIN, None, ["--threads", "-3"]),
+    "selector key foreign to its kind": (
+        "clt-check",
+        {**CLT_MIN, "selector": {"kind": "fixed", "gamma": 0.2, "K": 3}},
+        None,
+        [],
+    ),
+    "mu with a three-axis grid": ("estimate", {**MU, "grid": {"x": [0.0], "x0": [0.0], "x1": [0.0]}}, None, []),
+    "duplicate tree row": ("estimate", MU, lambda lines: lines + ["3,5,0.25"], []),
+    "NaN tree value": ("estimate", MU, lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",nan"], []),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID))
+def test_invalid_config_exits_1_and_writes_nothing(tmp_path, capsys, case):
+    command, doc, edit_tree, flags = INVALID[case]
+    tree = str(tmp_path / "tree.csv")
+    simulate(BarParams(0.5, 0.5), 3, InitSpec.dirac(0.0), 1).to_csv(tree)
+    if edit_tree:
+        lines = open(tree).read().splitlines()
+        open(tree, "w").write("\n".join(edit_tree(lines)) + "\n")
+    config = str(tmp_path / "cfg.json")
+    with open(config, "w") as fh:
+        fh.write(doc if isinstance(doc, str) else json.dumps(doc))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = [command, "--config", config, "--out", str(out_dir / OUTPUTS[command]), *flags]
+    argv += ["--tree", tree] if command in TREE_COMMANDS else []
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert os.listdir(out_dir) == []

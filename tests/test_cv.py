@@ -184,6 +184,8 @@ def test_cv_select_grid_validation():
         cv_select(s, K=2, grid=np.array([0.0, 0.5]), seed=0)
     with pytest.raises(ValueError):
         cv_select(s, K=2, grid=np.array([]), seed=0)
+    with pytest.raises(ValueError):
+        cv_select(s, K=2, grid=np.array([np.nan]), seed=0)
 
 
 def test_cv_interior_selection_on_reference_model():

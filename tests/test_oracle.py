@@ -151,6 +151,18 @@ def test_moment_check_table_runs_and_passes():
     assert any("Q2bis" in s for s in labels)
 
 
+@pytest.mark.parametrize("n,m", [(2, 4), (6, 1), (3, -1)])
+def test_moment_check_table_rejects_levels_before_simulating(monkeypatch, n, m):
+    import bmckde.bar
+
+    def no_simulation(*args):
+        raise AssertionError("simulated before checking the levels")
+
+    monkeypatch.setattr(bmckde.bar, "simulate", no_simulation)
+    with pytest.raises(ValueError, match="0 <= m <= n <= 5"):
+        moment_check_table(SYM, x=0.5, n=n, m=m, replications=10, seed=0)
+
+
 def test_true_variance_constants():
     sym = SymmetricBarParams(0.5, 1.0)
     k6 = GAUSSIAN.l2_norm_sq**3

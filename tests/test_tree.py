@@ -80,6 +80,26 @@ def test_raw_roundtrip(tmp_path):
     assert TreeSample.from_raw(path) == s
 
 
+def test_csv_rejects_duplicate_rows_and_nonfinite_values(tmp_path):
+    path = str(tmp_path / "tree.csv")
+    make_sample(2, seed=5).to_csv(path)
+    lines = open(path).read().splitlines()
+    for bad in (lines + ["2,1,0.25"], lines[:-1] + ["3,7,nan"], lines[:-1] + ["3,7,-inf"]):
+        open(path, "w").write("\n".join(bad) + "\n")
+        with pytest.raises(ValueError):
+            TreeSample.from_csv(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_raw_rejects_nonfinite_values(tmp_path, value):
+    path = str(tmp_path / "tree.f64")
+    flat = np.zeros(7)
+    flat[4] = value
+    flat.astype("<f8").tofile(path)
+    with pytest.raises(ValueError):
+        TreeSample.from_raw(path)
+
+
 def test_levels_are_immutable():
     s = make_sample(2)
     with pytest.raises(ValueError):
