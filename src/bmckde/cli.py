@@ -71,29 +71,39 @@ _MODEL_PROPS = {
 }
 
 
-def _selector_kind(kind: str, props: dict, required: tuple = ()) -> dict:
-    # keys that have no effect for the kind are rejected
-    then = {"properties": {"kind": {}, **props}, "required": list(required), "additionalProperties": False}
-    return {"if": {"properties": {"kind": {"const": kind}}, "required": ["kind"]}, "then": then}
+def _branch(cond: dict, props: dict, required: tuple = ()) -> dict:
+    # a document matching cond may hold only the keys cond and props name:
+    # any other has no effect there and is rejected
+    then = {"properties": {**dict.fromkeys(cond["properties"], {}), **props}, "required": list(required), "additionalProperties": False}
+    return {"if": cond, "then": then}
 
+
+def _when(key: str, value: str) -> dict:
+    return {"properties": {key: {"const": value}}, "required": [key]}
+
+
+_CV = _when("kind", "cv")
+_CV_K = {"type": "integer", "minimum": 2, "default": CvSelector.K}
 
 _SELECTOR = {
     "type": "object",
     "properties": {"kind": {"enum": ["fixed", "cv", "rot"]}},
     "required": ["kind"],
     "allOf": [
-        _selector_kind("fixed", {"gamma": {"type": "number"}}, ("gamma",)),
-        _selector_kind(
-            "cv",
-            {
-                "K": {"type": "integer", "minimum": 2, "default": CvSelector.K},
-                "grid_size": {"type": "integer", "minimum": 1, "default": CvSelector.grid_size},
-                "grid": {"type": "array", "items": {"type": "number"}},
-            },
+        _branch(_when("kind", "fixed"), {"gamma": {"type": "number"}}, ("gamma",)),
+        # explicit candidates replace grid_size, so a cv selector takes one or the other
+        _branch({**_CV, "required": ["kind", "grid"]}, {"K": _CV_K, "grid": {"type": "array", "items": {"type": "number"}}}),
+        _branch(
+            {**_CV, "not": {"required": ["grid"]}},
+            {"K": _CV_K, "grid_size": {"type": "integer", "minimum": 1, "default": CvSelector.grid_size}},
         ),
-        _selector_kind("rot", {"m": {"type": "integer", "minimum": 1, "default": DEFAULT_LAG}}),
+        _branch(_when("kind", "rot"), {"m": {"type": "integer", "minimum": 1, "default": DEFAULT_LAG}}),
     ],
 }
+
+_H = {"type": "number", "exclusiveMinimum": 0}
+_BW = {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 3, "maxItems": 3}
+_ESTIMATE_SHARED = {"population": {}, "grid": {}}
 
 SCHEMAS = {
     "simulate": {
@@ -113,8 +123,6 @@ SCHEMAS = {
         "properties": {
             "estimator": {"enum": ["mu", "mu_tri", "p"]},
             "population": {"enum": ["gen", "tree"], "default": "gen"},
-            "h": {"type": "number", "exclusiveMinimum": 0},
-            "bw": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 3, "maxItems": 3},
             "grid": {
                 "oneOf": [
                     _AXIS["oneOf"][0],
@@ -129,7 +137,12 @@ SCHEMAS = {
             },
         },
         "required": ["estimator", "grid"],
-        "additionalProperties": False,
+        # mu takes h, mu_tri the triple bw, and p both
+        "allOf": [
+            _branch(_when("estimator", "mu"), {**_ESTIMATE_SHARED, "h": _H}, ("h",)),
+            _branch(_when("estimator", "mu_tri"), {**_ESTIMATE_SHARED, "bw": _BW}, ("bw",)),
+            _branch(_when("estimator", "p"), {**_ESTIMATE_SHARED, "h": _H, "bw": _BW}, ("h", "bw")),
+        ],
     },
     "cv-select": {
         "type": "object",
@@ -230,15 +243,17 @@ def load_config(args, command: str) -> dict:
             raise ConfigError(f"cannot read config {path}: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}:{e.lineno}:{e.colno}: malformed JSON: {e.msg}") from e
-    if isinstance(cfg, dict):
-        for flag in ("seed", "population", "threads"):
-            if getattr(args, flag, None) is not None:
-                cfg[flag] = getattr(args, flag)
+    flags = [f for f in ("seed", "population", "threads") if isinstance(cfg, dict) and getattr(args, f, None) is not None]
+    for flag in flags:
+        cfg[flag] = getattr(args, flag)
     _fill_defaults(cfg, SCHEMAS[command])
     try:
         jsonschema.validate(cfg, SCHEMAS[command])
     except jsonschema.ValidationError as e:
-        where = "/".join(str(p) for p in e.absolute_path) or "<root>"
+        at = list(e.absolute_path)
+        if len(at) == 1 and at[0] in flags:  # the value came from the command line
+            raise ConfigError(f"--{at[0]}: {e.message}") from e
+        where = "/".join(map(str, at)) or "<root>"
         raise ConfigError(f"{path or '<empty config>'}: at {where}: {e.message}") from e
     return cfg
 
@@ -279,8 +294,10 @@ def _selector(cfg: dict):
     kind = cfg["kind"]
     if kind == "fixed":
         return FixedGamma(cfg["gamma"])
+    if kind == "cv" and "grid" in cfg:
+        return CvSelector(K=cfg["K"], grid=tuple(cfg["grid"]))
     if kind == "cv":
-        return CvSelector(K=cfg["K"], grid_size=cfg["grid_size"], grid=tuple(cfg["grid"]) if "grid" in cfg else None)
+        return CvSelector(K=cfg["K"], grid_size=cfg["grid_size"])
     return RotSelector(m=cfg["m"])
 
 

@@ -9,10 +9,12 @@ held-out least-squares score of a candidate bandwidth is
 
 with the squared-estimator integrals in closed form through the Gaussian
 self-convolution (the N(0,2) density), coordinatewise in the triangle case.
-``j_hat_den``/``j_hat_num`` are the direct per-fold reference; ``cv_select``
-computes all folds and all bandwidths in one blocked pairwise pass, since
-both integrals and both leave-out terms are sums over pairs of triangles and
-only the fold memberships of the pair matter.
+``j_hat_den``/``j_hat_num`` are the direct per-fold reference.  ``cv_select``
+scores all folds and all bandwidths from one matrix of fold-pair kernel
+sums: both integrals and both leave-out terms are sums over pairs of
+triangles in which only the folds of the pair matter, so the K x K sums of
+the four kernels (conv and kernel, one and three coordinates) are exact
+sufficient statistics for every fold's score.
 """
 
 from __future__ import annotations
@@ -25,7 +27,14 @@ from .kernels import GAUSSIAN, L2_NORM_SQ_CUBED
 from .rng import FOLD_STREAM, philox_stream
 from .tree import Population, TreeSample
 
-_BLOCK = 4096  # pairwise scratch capped at ~128 MB
+_BLOCK = 256  # rows per chunk: three 512 KB pair buffers, reused for every chunk pair
+# Exponents are raised to this floor before exp.  Below it the squared kernel
+# exp(x)^2 = exp(2x) underflows, and below twice it exp(x) itself; results that
+# underflow take a slow path about 20x costlier per element.  A raised term is
+# < 1.6e-154, while the row and total sums every score is formed from hold
+# the terms exp(0) = 1 of the pairs u = v, so the change is far below their
+# rounding.
+_EXP_FLOOR = -354.0
 
 
 @dataclass(frozen=True)
@@ -110,15 +119,6 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", d, d)
 
 
-def _sq_dists_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # |a|^2 + |b|^2 - 2 a.b via BLAS; cheaper than forming differences for
-    # large blocks, and the ~1e-16 cancellation error is invisible under exp
-    aa = np.einsum("ij,ij->i", a, a)
-    bb = np.einsum("ij,ij->i", b, b)
-    d = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(d, 0.0, out=d)
-
-
 @dataclass
 class CvResult:
     """Candidate grid, averaged scores, and the two selected bandwidths."""
@@ -176,63 +176,53 @@ def _fold_scores(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-fold scores, shape (K, len(grid)), for the denominator and numerator.
 
-    Both criteria decompose into sums of a symmetric kernel of the pair
-    (u, v), and for each fold only three aggregates are needed: the grand
-    total, the per-fold row sums, and the within-fold sums.  Sorting the
-    sample by fold makes folds contiguous, so one blocked pass over the pair
-    matrix (upper block triangle only) accumulates everything with row
-    reductions and per-fold sub-block sums.
+    Both criteria are sums of a symmetric kernel of the pair (u, v), and a
+    fold's score needs only the K x K matrix of fold-pair sums: its row
+    (fold k against everything), its diagonal entry (fold k against itself)
+    and the grand total.  Rows are sorted by fold and cut into chunks that
+    never straddle a fold boundary, so each chunk pair lies in one fold pair
+    and contributes one full sum per kernel; only chunk pairs bi <= bj are
+    formed, the rest following by symmetry.
     """
     K, nh = partition.K, grid.size
-    vals_raw = sample.level(partition.n)
-    tri_raw = np.column_stack(sample.triangle_arrays(Population.GEN_N))
-    N = vals_raw.size
     order = np.argsort(partition.assignment, kind="stable")
-    vals = vals_raw[order]
-    tri = np.ascontiguousarray(tri_raw[order])
-    sizes = partition.sizes().astype(float)
-    bounds = np.concatenate([[0], np.cumsum(partition.sizes())])  # fold k rows [bounds[k], bounds[k+1])
+    x, x0, x1 = (a[order] for a in sample.triangle_arrays(Population.GEN_N))
+    sizes = partition.sizes()
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    chunks = [(k, i, min(i + _BLOCK, bounds[k + 1])) for k in range(K) for i in range(bounds[k], bounds[k + 1], _BLOCK)]
 
-    # per bandwidth: row sums over all v, and within-fold diagonal sums
-    rows = np.zeros((4, nh, N))  # kernels: conv1, ker1, conv3, ker3
-    diag = np.zeros((4, nh, K))
-
-    inv4 = 0.25 / grid**2
-    for i0 in range(0, N, _BLOCK):
-        i1 = min(i0 + _BLOCK, N)
-        for j0 in range(i0, N, _BLOCK):
-            j1 = min(j0 + _BLOCK, N)
-            d1 = (vals[i0:i1, None] - vals[None, j0:j1]) ** 2
-            d3 = _sq_dists_gemm(tri[i0:i1], tri[j0:j1])
-            # folds overlapping both block ranges, for the within-fold sums
-            overlaps = [
-                (k, max(bounds[k], i0), min(bounds[k + 1], i1), max(bounds[k], j0), min(bounds[k + 1], j1))
-                for k in range(K)
-                if bounds[k] < i1 and bounds[k + 1] > i0 and bounds[k] < j1 and bounds[k + 1] > j0
-            ]
+    pair = np.zeros((4, nh, K, K))  # kernels conv1, ker1, conv3, ker3; fold-pair sums
+    part = np.empty((4, nh))
+    scale = -0.25 / grid**2
+    side = min(_BLOCK, int(sizes.max()))
+    flat = np.empty((3, side * side))
+    for a, (k, i0, i1) in enumerate(chunks):
+        for b, (l, j0, j1) in enumerate(chunks[a:]):
+            d1, d3, e = (f[: (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0) for f in flat)
+            np.square(np.subtract.outer(x[i0:i1], x[j0:j1], out=d1), out=d1)
+            np.square(np.subtract.outer(x0[i0:i1], x0[j0:j1], out=d3), out=d3)
+            np.square(np.subtract.outer(x1[i0:i1], x1[j0:j1], out=e), out=e)
+            np.add(d3, e, out=d3)
+            np.add(d3, d1, out=d3)
             for t in range(nh):
-                e1 = np.exp(-inv4[t] * d1)
-                e3 = np.exp(-inv4[t] * d3)
-                for idx, e in ((0, e1), (1, e1 * e1), (2, e3), (3, e3 * e3)):
-                    rows[idx, t, i0:i1] += e.sum(axis=1)
-                    if j0 != i0:
-                        rows[idx, t, j0:j1] += e.sum(axis=0)
-                    for k, ri0, ri1, rj0, rj1 in overlaps:
-                        if ri0 < ri1 and rj0 < rj1:
-                            s = e[ri0 - i0 : ri1 - i0, rj0 - j0 : rj1 - j0].sum()
-                            diag[idx, t, k] += s if j0 == i0 else 2.0 * s
+                for idx, d in ((0, d1), (2, d3)):
+                    np.exp(np.maximum(np.multiply(d, scale[t], out=e), _EXP_FLOOR, out=e), out=e)
+                    part[idx, t] = e.sum()
+                    part[idx + 1, t] = np.square(e, out=e).sum()
+            if b == 0:  # the chunk against itself
+                pair[:, :, k, k] += part
+            elif k == l:  # two chunks of one fold: both orders
+                pair[:, :, k, k] += 2.0 * part
+            else:
+                pair[:, :, k, l] += part
+                pair[:, :, l, k] += part
 
-    m = N - sizes  # complement sizes
-    j_den = np.empty((K, nh))
-    j_num = np.empty((K, nh))
-    for t, h in enumerate(grid):
-        fold_rows = np.add.reduceat(rows[:, t, :], bounds[:-1], axis=1)  # (4, K)
-        totals = rows[:, t, :].sum(axis=1)
-        for out, (ci, cl), hp, (rw, dg, tot), (rk, dk) in (
-            (j_den, (GAUSSIAN.l2_norm_sq, GAUSSIAN.sup_norm), h, (fold_rows[0], diag[0, t], totals[0]), (fold_rows[1], diag[1, t])),
-            (j_num, (L2_NORM_SQ_CUBED, GAUSSIAN.sup_norm**3), h**3, (fold_rows[2], diag[2, t], totals[2]), (fold_rows[3], diag[3, t])),
-        ):
-            comp = tot - 2.0 * rw + dg  # complement-complement pair sums
-            cross = rk - dk  # held-out rows restricted to the complement
-            out[:, t] = ci * comp / (m * m * hp) - 2.0 * cl * cross / (sizes * m * hp)
-    return j_den, j_num
+    rows = pair.sum(axis=-1)  # (4, nh, K): fold k against every row
+    diag = np.diagonal(pair, axis1=-2, axis2=-1)  # fold k against itself
+    comp = rows.sum(axis=-1, keepdims=True) - 2.0 * rows + diag  # complement-complement pair sums
+    cross = rows - diag  # held-out rows against the complement
+    m = bounds[-1] - sizes  # complement sizes
+    h, h3 = grid[:, None], grid[:, None] ** 3
+    j_den = GAUSSIAN.l2_norm_sq * comp[0] / (m * m * h) - 2.0 * GAUSSIAN.sup_norm * cross[1] / (sizes * m * h)
+    j_num = L2_NORM_SQ_CUBED * comp[2] / (m * m * h3) - 2.0 * GAUSSIAN.sup_norm**3 * cross[3] / (sizes * m * h3)
+    return j_den.T, j_num.T

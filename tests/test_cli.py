@@ -1,6 +1,8 @@
+import argparse
 import json
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -277,6 +279,17 @@ def test_estimate_writes_meta_next_to_output(tmp_path):
     assert meta["estimator"] == "mu" and meta["h"] == 0.3 and meta["sample_size"] == 16
 
 
+def test_cv_selector_grid_size_default_only_without_grid(tmp_path):
+    from bmckde.cli import load_config
+
+    for selector, resolved in (
+        ({"kind": "cv", "grid": [0.3, 0.6]}, {"kind": "cv", "grid": [0.3, 0.6], "K": 5}),
+        ({"kind": "cv"}, {"kind": "cv", "K": 5, "grid_size": 32}),
+    ):
+        cfg = write_config(tmp_path, "fig.json", {"case": "1", "selector": selector})
+        assert load_config(argparse.Namespace(config=cfg), "reproduce-figures")["selector"] == resolved
+
+
 # -- sidecars re-run their command ---------------------------------------------
 
 CLT_MODEL = {"a0": 0.5, "a1": 0.5, "sigma": 1.0}
@@ -352,10 +365,8 @@ RERUN_CASES = [
 
 def _defaults_missing(doc: dict, schema: dict, prefix: str = "") -> list[str]:
     """Paths of schema properties with a default that ``doc`` lacks, following
-    the selector branch its ``kind`` picks."""
-    subs = [schema] + [
-        c["then"] for c in schema.get("allOf", []) if c["if"]["properties"]["kind"]["const"] == doc.get("kind")
-    ]
+    the conditional branches ``doc`` picks."""
+    subs = [schema] + [c["then"] for c in schema.get("allOf", []) if jsonschema.Draft202012Validator(c["if"]).is_valid(doc)]
     missing = []
     for sub in subs:
         for key, prop in sub.get("properties", {}).items():
@@ -425,9 +436,24 @@ INVALID = {
         [],
     ),
     "mu with a three-axis grid": ("estimate", {**MU, "grid": {"x": [0.0], "x0": [0.0], "x1": [0.0]}}, None, []),
+    "mu with a bandwidth triple": ("estimate", {**MU, "bw": [0.1, 0.1, 0.1]}, None, []),
+    "mu_tri with h": (
+        "estimate",
+        {**MU, "estimator": "mu_tri", "bw": [0.3, 0.3, 0.3], "grid": {"x": [0.0], "x0": [0.0], "x1": [0.0]}},
+        None,
+        [],
+    ),
+    "cv selector with grid and grid_size": (
+        "clt-check",
+        {**CLT_MIN, "selector": {"kind": "cv", "grid": [0.3, 0.6], "grid_size": 4}},
+        None,
+        [],
+    ),
     "duplicate tree row": ("estimate", MU, lambda lines: lines + ["3,5,0.25"], []),
     "NaN tree value": ("estimate", MU, lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",nan"], []),
 }
+# what stderr must say, where more than "error:"
+MESSAGES = {"threads 0": "error: --threads: 0 is less than the minimum of 1"}
 
 
 @pytest.mark.parametrize("case", list(INVALID))
@@ -446,5 +472,5 @@ def test_invalid_config_exits_1_and_writes_nothing(tmp_path, capsys, case):
     argv = [command, "--config", config, "--out", str(out_dir / OUTPUTS[command]), *flags]
     argv += ["--tree", tree] if command in TREE_COMMANDS else []
     assert main(argv) == 1
-    assert "error:" in capsys.readouterr().err
+    assert MESSAGES.get(case, "error:") in capsys.readouterr().err
     assert os.listdir(out_dir) == []

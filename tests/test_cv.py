@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
+from bmckde import cv
 from bmckde.bar import BarParams, InitSpec, simulate
 from bmckde.cv import cv_select, default_grid, j_hat_den, j_hat_num, make_folds
 from bmckde.tree import Population, TreeSample
@@ -165,6 +167,29 @@ def test_cv_select_equals_per_fold_recomputation():
         num = 0.5 * (j_hat_num(s, part, 0, h) + j_hat_num(s, part, 1, h))
         assert res.scores_den[t] == pytest.approx(den, abs=1e-10)
         assert res.scores_num[t] == pytest.approx(num, abs=1e-10)
+
+
+_depth_and_folds = st.integers(2, 7).flatmap(lambda n: st.tuples(st.just(n), st.just(1 << n) | st.integers(2, 1 << n)))
+
+
+@given(
+    depth_folds=_depth_and_folds,
+    seed=st.integers(0, 2**32 - 1),
+    grid=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4, unique=True).map(sorted),
+    block=st.sampled_from([1, 3, cv._BLOCK]),
+)
+@settings(max_examples=40, deadline=None)
+def test_cv_scores_equal_fold_mean_of_j_hat(depth_folds, seed, grid, block):
+    # chunks of one or three rows split folds, so chunk pairs on the diagonal,
+    # within one fold and across two folds all occur; K = 2^n gives folds of one row
+    n, K = depth_folds
+    s = simulate(BarParams(0.7, 0.5), n, InitSpec.dirac(0.0), seed)
+    with mock.patch.object(cv, "_BLOCK", block):
+        res = cv_select(s, K=K, grid=np.array(grid), seed=seed)
+    part = make_folds(n, K, seed)
+    for t, h in enumerate(grid):
+        assert res.scores_den[t] == pytest.approx(np.mean([j_hat_den(s, part, k, h) for k in range(K)]), abs=1e-10)
+        assert res.scores_num[t] == pytest.approx(np.mean([j_hat_num(s, part, k, h) for k in range(K)]), abs=1e-10)
 
 
 def test_cv_select_argmin_contract():
