@@ -10,11 +10,11 @@ held-out least-squares score of a candidate bandwidth is
 with the squared-estimator integrals in closed form through the Gaussian
 self-convolution (the N(0,2) density), coordinatewise in the triangle case.
 ``j_hat_den``/``j_hat_num`` are the direct per-fold reference.  ``cv_select``
-scores all folds and all bandwidths from one matrix of fold-pair kernel
-sums: both integrals and both leave-out terms are sums over pairs of
-triangles in which only the folds of the pair matter, so the K x K sums of
-the four kernels (conv and kernel, one and three coordinates) are exact
-sufficient statistics for every fold's score.
+scores all folds and bandwidths in one sweep: both integrals and both
+leave-out terms are sums over pairs of triangles in which only the folds of
+the pair matter, so per kernel (conv and kernel, one and three coordinates)
+each fold's sums against all triangles and against itself, with the total,
+are exact sufficient statistics for every fold's score.
 """
 
 from __future__ import annotations
@@ -53,9 +53,6 @@ class FoldPartition:
             raise ValueError("folds must be nonempty and indices < K")
         if counts.max() - counts.min() > 1:
             raise ValueError("fold sizes must differ by at most one")
-
-    def fold_ranks(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == k)
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.K)
@@ -171,54 +168,66 @@ def cv_select(
     )
 
 
-def _fold_scores(
-    sample: TreeSample, partition: FoldPartition, grid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _fold_scores(sample: TreeSample, partition: FoldPartition, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-fold scores, shape (K, len(grid)), for the denominator and numerator.
 
-    Both criteria are sums of a symmetric kernel of the pair (u, v), and a
-    fold's score needs only the K x K matrix of fold-pair sums: its row
-    (fold k against everything), its diagonal entry (fold k against itself)
-    and the grand total.  Rows are sorted by fold and cut into chunks that
-    never straddle a fold boundary, so each chunk pair lies in one fold pair
-    and contributes one full sum per kernel; only chunk pairs bi <= bj are
-    formed, the rest following by symmetry.
+    Each criterion sums a symmetric kernel over pairs (u, v); fold k's score
+    needs only its row (k against all), its diagonal (k against k) and the
+    total.  Rows sorted by fold are cut into chunks of at most _BLOCK rows,
+    long folds into pieces and short ones grouped whole, so there are about
+    N / _BLOCK chunks for any K; each chunk pair a <= b adds its sums by fold.
     """
     K, nh = partition.K, grid.size
     order = np.argsort(partition.assignment, kind="stable")
     x, x0, x1 = (a[order] for a in sample.triangle_arrays(Population.GEN_N))
     sizes = partition.sizes()
     bounds = np.concatenate([[0], np.cumsum(sizes)])
-    chunks = [(k, i, min(i + _BLOCK, bounds[k + 1])) for k in range(K) for i in range(bounds[k], bounds[k + 1], _BLOCK)]
+    fold = np.repeat(np.arange(K), sizes)  # fold of each sorted row
+    per_chunk = max(1, _BLOCK // int(sizes.max()))  # whole folds per chunk
+    cuts = np.concatenate([np.arange(bounds[k], bounds[k + 1], _BLOCK) for k in range(0, K, per_chunk)] + [bounds[-1:]])
+    # chunk: rows i0:i1, first fold f, start of each of its folds within the chunk
+    chunks = [(i0, i1, fold[i0], np.maximum(bounds[fold[i0] : fold[i1 - 1] + 1] - i0, 0)) for i0, i1 in zip(cuts[:-1], cuts[1:])]
 
-    pair = np.zeros((4, nh, K, K))  # kernels conv1, ker1, conv3, ker3; fold-pair sums
-    part = np.empty((4, nh))
+    rows = np.zeros((4, nh, K))  # kernels conv1, ker1, conv3, ker3; fold k against every row
+    diag = np.zeros((4, nh, K))  # fold k against itself
     scale = -0.25 / grid**2
-    side = min(_BLOCK, int(sizes.max()))
+    side = int(np.diff(cuts).max())
     flat = np.empty((3, side * side))
-    for a, (k, i0, i1) in enumerate(chunks):
-        for b, (l, j0, j1) in enumerate(chunks[a:]):
-            d1, d3, e = (f[: (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0) for f in flat)
-            np.square(np.subtract.outer(x[i0:i1], x[j0:j1], out=d1), out=d1)
-            np.square(np.subtract.outer(x0[i0:i1], x0[j0:j1], out=d3), out=d3)
-            np.square(np.subtract.outer(x1[i0:i1], x1[j0:j1], out=e), out=e)
-            np.add(d3, e, out=d3)
-            np.add(d3, d1, out=d3)
+    rs, cs, ds = (np.empty((4, nh, side)) for _ in range(3))  # row, column and same-fold sums
+    for a, (i0, i1, f, starts) in enumerate(chunks):
+        for j0, j1, l, lstarts in chunks[a:]:
+            ni, nj = i1 - i0, j1 - j0
+            d1, d3, e = (buf[: ni * nj].reshape(ni, nj) for buf in flat)
+            for v, buf in ((x, d1), (x0, d3), (x1, e)):
+                np.square(np.subtract.outer(v[i0:i1], v[j0:j1], out=buf), out=buf)
+            np.add(np.add(d3, e, out=d3), d1, out=d3)
+            nr = ni if starts.size > 1 else 1  # row sums where rows span several folds, else one total
+            er = e.reshape(nr, -1)
+            csplit = j0 != i0 and lstarts.size > 1  # columns of several folds: keep the column sums
+            same = fold[i0:i1, None] == fold[None, i0:i1] if j0 == i0 and nr > 1 else None
             for t in range(nh):
-                for idx, d in ((0, d1), (2, d3)):
+                for c, d in ((0, d1), (2, d3)):
                     np.exp(np.maximum(np.multiply(d, scale[t], out=e), _EXP_FLOOR, out=e), out=e)
-                    part[idx, t] = e.sum()
-                    part[idx + 1, t] = np.square(e, out=e).sum()
-            if b == 0:  # the chunk against itself
-                pair[:, :, k, k] += part
-            elif k == l:  # two chunks of one fold: both orders
-                pair[:, :, k, k] += 2.0 * part
-            else:
-                pair[:, :, k, l] += part
-                pair[:, :, l, k] += part
+                    for q in (c, c + 1):  # the conv kernel, then its square, the kernel
+                        if q > c:
+                            np.square(e, out=e)
+                        er.sum(axis=1, out=rs[q, t, :nr])
+                        if csplit:
+                            e.sum(axis=0, out=cs[q, t, :nj])
+                        if same is not None:
+                            np.sum(e, axis=1, where=same, out=ds[q, t, :ni])
+            r = rs[:, :, :nr]
+            rows[:, :, f : f + starts.size] += np.add.reduceat(r, starts, axis=-1)
+            if j0 == i0:  # the chunk against itself
+                diag[:, :, f : f + starts.size] += r if same is None else np.add.reduceat(ds[:, :, :ni], starts, axis=-1)
+            elif csplit:
+                rows[:, :, l : l + lstarts.size] += np.add.reduceat(cs[:, :, :nj], lstarts, axis=-1)
+            else:  # columns of one fold l
+                total = r.sum(axis=-1)
+                rows[:, :, l] += total
+                if l == f:  # two pieces of one fold: both orders
+                    diag[:, :, l] += 2.0 * total
 
-    rows = pair.sum(axis=-1)  # (4, nh, K): fold k against every row
-    diag = np.diagonal(pair, axis1=-2, axis2=-1)  # fold k against itself
     comp = rows.sum(axis=-1, keepdims=True) - 2.0 * rows + diag  # complement-complement pair sums
     cross = rows - diag  # held-out rows against the complement
     m = bounds[-1] - sizes  # complement sizes

@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 
@@ -279,17 +278,6 @@ def test_estimate_writes_meta_next_to_output(tmp_path):
     assert meta["estimator"] == "mu" and meta["h"] == 0.3 and meta["sample_size"] == 16
 
 
-def test_cv_selector_grid_size_default_only_without_grid(tmp_path):
-    from bmckde.cli import load_config
-
-    for selector, resolved in (
-        ({"kind": "cv", "grid": [0.3, 0.6]}, {"kind": "cv", "grid": [0.3, 0.6], "K": 5}),
-        ({"kind": "cv"}, {"kind": "cv", "K": 5, "grid_size": 32}),
-    ):
-        cfg = write_config(tmp_path, "fig.json", {"case": "1", "selector": selector})
-        assert load_config(argparse.Namespace(config=cfg), "reproduce-figures")["selector"] == resolved
-
-
 # -- sidecars re-run their command ---------------------------------------------
 
 CLT_MODEL = {"a0": 0.5, "a1": 0.5, "sigma": 1.0}
@@ -360,6 +348,8 @@ RERUN_CASES = [
         {"case": "2", "selector": {"kind": "fixed", "gamma": 0.2}},
         ["n_list", "seeds", "seed", "grid/slice_x", "grid/half_width", "grid/points_per_axis", "gnuplot"],
     ),
+    # with an explicit grid the sidecar must not gain grid_size: the pair is rejected on re-run
+    ("reproduce-figures", {"case": "1", "selector": {"kind": "cv", "grid": [0.3, 0.6]}, "n_list": [5], "seeds": 1}, ["selector/K"]),
 ]
 
 

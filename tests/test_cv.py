@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -176,12 +177,13 @@ _depth_and_folds = st.integers(2, 7).flatmap(lambda n: st.tuples(st.just(n), st.
     depth_folds=_depth_and_folds,
     seed=st.integers(0, 2**32 - 1),
     grid=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4, unique=True).map(sorted),
-    block=st.sampled_from([1, 3, cv._BLOCK]),
+    block=st.sampled_from([1, 3, 16, cv._BLOCK]),
 )
 @settings(max_examples=40, deadline=None)
 def test_cv_scores_equal_fold_mean_of_j_hat(depth_folds, seed, grid, block):
-    # chunks of one or three rows split folds, so chunk pairs on the diagonal,
-    # within one fold and across two folds all occur; K = 2^n gives folds of one row
+    # small chunks cut long folds into pieces and group short folds whole, so
+    # chunk pairs on the diagonal, within one fold, across two folds and
+    # across groups of folds all occur; K = 2^n gives folds of one row
     n, K = depth_folds
     s = simulate(BarParams(0.7, 0.5), n, InitSpec.dirac(0.0), seed)
     with mock.patch.object(cv, "_BLOCK", block):
@@ -190,6 +192,42 @@ def test_cv_scores_equal_fold_mean_of_j_hat(depth_folds, seed, grid, block):
     for t, h in enumerate(grid):
         assert res.scores_den[t] == pytest.approx(np.mean([j_hat_den(s, part, k, h) for k in range(K)]), abs=1e-10)
         assert res.scores_num[t] == pytest.approx(np.mean([j_hat_num(s, part, k, h) for k in range(K)]), abs=1e-10)
+
+
+def test_leave_one_out_sweep_work_and_memory_do_not_grow_with_K():
+    # K = 2^n folds of one row are grouped whole into chunks, so the sweep forms
+    # the chunk pairs of K = 5 and keeps per-fold sums only (a K x K matrix of
+    # fold-pair sums would be 4 * 32 * 1024^2 doubles, 1 GiB, at this depth)
+    n = 10
+    N = 1 << n
+    grid = default_grid(n)
+    s = simulate(BarParams(0.7, 0.5), n, InitSpec.dirac(0.0), 5)
+    part = make_folds(n, N, 3)
+    chunks = 2 * N // cv._BLOCK + 1
+    limit = 2 * grid.size * chunks * (chunks + 1) // 2  # two exp calls per chunk pair and bandwidth
+    calls = elements = 0
+    real_exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        nonlocal calls, elements
+        calls += 1
+        elements += x.size
+        assert calls <= limit, "more chunk pairs than chunks of _BLOCK rows give"
+        return real_exp(x, *args, **kwargs)
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(np, "exp", counting_exp):
+            j_den, j_num = cv._fold_scores(s, part, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elements <= grid.size * (N * N + N * cv._BLOCK)  # the upper block triangle, twice per bandwidth
+    assert peak < 16 * 2**20
+    for k in (0, N // 2, N - 1):
+        for t in (0, grid.size - 1):
+            assert j_den[k, t] == pytest.approx(j_hat_den(s, part, k, grid[t]), abs=1e-10)
+            assert j_num[k, t] == pytest.approx(j_hat_num(s, part, k, grid[t]), abs=1e-10)
 
 
 def test_cv_select_argmin_contract():
