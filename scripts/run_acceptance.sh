@@ -1,4 +1,4 @@
 #!/bin/sh
 # Full acceptance battery with per-criterion pass/fail lines.
-# Criterion 8 dominates the runtime (~12 min on 2 cores).
+# About 50 s on 2 cores, most of it criterion 8's two cross-validation runs.
 exec python -m pytest tests/test_acceptance.py -v -s "$@"

@@ -1,14 +1,16 @@
 """Command-line surface: simulation, estimation, selection, and verification runs.
 
 Configs are JSON documents validated against per-command schemas (unknown
-keys rejected).  The schema is the one place a command's defaults are
-declared: ``load_config`` copies in the flags, fills every default and
-validates the result, and every file-producing command drops that resolved
-config as a sidecar JSON next to its output, so passing the sidecar back as
-``--config`` reproduces the run.  Output files are written to a temporary
-name and renamed, so failures leave no partial files.
+keys rejected).  The schema is the one table a command's keys, defaults and
+checks are read from: a flag exists where the schema has its key,
+``load_config`` copies in the flags, fills every default and validates the
+result, and every file-producing command drops that resolved config as a
+sidecar JSON next to its output, so passing the sidecar back as ``--config``
+reproduces the run.  Output files are written to a temporary name and
+renamed, so failures leave no partial files.
 
-Exit codes: 0 success, 1 config/validation error, 2 runtime error.
+Exit codes: 0 success, 1 config/validation error (any ValueError), 2 runtime
+error.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import io
 import json
 import os
@@ -25,7 +28,7 @@ import jsonschema
 import numpy as np
 
 from .bar import BarParams, InitSpec, simulate
-from .cv import cv_select
+from .cv import DEFAULT_GRID_SIZE, cv_select
 from .estimators import BandwidthTriple, EstimatorSpec, evaluate_on_grid
 from .harness import (
     CvSelector,
@@ -42,12 +45,16 @@ from .harness import (
 )
 from .oracle import moment_check_table
 from .rot import DEFAULT_LAG, rot_select
-from .tree import Population, TreeSample
+from .tree import MAX_DEPTH, Population, TreeSample
 
 
-class ConfigError(Exception):
-    """Invalid configuration; maps to exit code 1."""
+class ConfigError(ValueError):
+    """Invalid configuration; ``main`` maps it, like every ValueError, to exit code 1."""
 
+
+# jsonschema counts 2.0 as an integer; range() and the seed's bit operations do not
+_INTEGERS = jsonschema.Draft202012Validator.TYPE_CHECKER.redefine("integer", lambda _, v: type(v) is int)
+_Validator = jsonschema.validators.extend(jsonschema.Draft202012Validator, type_checker=_INTEGERS)
 
 _AXIS = {
     "oneOf": [
@@ -95,7 +102,7 @@ _SELECTOR = {
         _branch({**_CV, "required": ["kind", "grid"]}, {"K": _CV_K, "grid": {"type": "array", "items": {"type": "number"}}}),
         _branch(
             {**_CV, "not": {"required": ["grid"]}},
-            {"K": _CV_K, "grid_size": {"type": "integer", "minimum": 1, "default": CvSelector.grid_size}},
+            {"K": _CV_K, "grid_size": {"type": "integer", "minimum": 1, "default": DEFAULT_GRID_SIZE}},
         ),
         _branch(_when("kind", "rot"), {"m": {"type": "integer", "minimum": 1, "default": DEFAULT_LAG}}),
     ],
@@ -104,6 +111,8 @@ _SELECTOR = {
 _H = {"type": "number", "exclusiveMinimum": 0}
 _BW = {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 3, "maxItems": 3}
 _ESTIMATE_SHARED = {"population": {}, "grid": {}}
+_SIMULATE_SHARED = dict.fromkeys([*_MODEL_PROPS, "seed", "n"], {})
+_DEPTHS = {"type": "array", "items": {"type": "integer", "minimum": 2, "maximum": MAX_DEPTH}, "minItems": 1}
 
 SCHEMAS = {
     "simulate": {
@@ -111,12 +120,15 @@ SCHEMAS = {
         "properties": {
             **_MODEL_PROPS,
             "init": {"enum": ["dirac", "stationary"], "default": "dirac"},
-            "x0": {"type": "number", "default": 0.0},
             "seed": {"type": "integer", "default": 0},
-            "n": {"type": "integer", "minimum": 0},
+            "n": {"type": "integer", "minimum": 0, "maximum": MAX_DEPTH},
         },
         "required": ["a0", "a1", "sigma", "n"],
-        "additionalProperties": False,
+        # x0 is where a dirac start puts the root
+        "allOf": [
+            _branch(_when("init", "dirac"), {**_SIMULATE_SHARED, "x0": {"type": "number", "default": 0.0}}),
+            _branch(_when("init", "stationary"), _SIMULATE_SHARED),
+        ],
     },
     "estimate": {
         "type": "object",
@@ -163,7 +175,7 @@ SCHEMAS = {
         "properties": {
             "model": {"type": "object", "properties": _MODEL_PROPS, "required": ["a0", "a1", "sigma"], "additionalProperties": False},
             "statistic": {"enum": ["p_hat", "mu_tri"], "default": "p_hat"},
-            "n_list": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 1},
+            "n_list": _DEPTHS,
             "replications": {"type": "integer", "minimum": 1},
             "point": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3, "default": list(ExperimentSpec.point)},
             "population": {"enum": ["gen", "tree"], "default": ExperimentSpec.population.value},
@@ -194,7 +206,7 @@ SCHEMAS = {
         "properties": {
             "case": {"enum": ["1", "2", "case1", "case2"]},
             "selector": _SELECTOR,
-            "n_list": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 1, "default": [10, 12, 14]},
+            "n_list": {**_DEPTHS, "default": [10, 12, 14]},
             "seeds": {"type": "integer", "minimum": 1, "default": 3},
             "seed": {"type": "integer", "default": 0},
             "grid": {
@@ -215,18 +227,38 @@ SCHEMAS = {
 }
 
 
+_FLAGS = ("seed", "population", "threads")  # each registered where the command's schema has the key
+
+
+def _flag_value(text: str):
+    # an int where int() reads one, else the text: the schema alone judges the value
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _fill_defaults(doc, schema: dict) -> None:
     """Add every absent property that declares a default, recursing into objects
-    and into the conditional branches (``allOf`` of ``if``/``then``) ``doc`` selects."""
+    and then into the conditional branches (``allOf`` of ``if``/``then``) the
+    filled ``doc`` selects."""
     if not isinstance(doc, dict):
         return
-    branches = [c["then"] for c in schema.get("allOf", ()) if jsonschema.Draft202012Validator(c["if"]).is_valid(doc)]
-    for sub in (schema, *branches):
-        for key, prop in sub.get("properties", {}).items():
-            if key not in doc and "default" in prop:
-                doc[key] = copy.deepcopy(prop["default"])
-            if key in doc:
-                _fill_defaults(doc[key], prop)
+    for key, prop in schema.get("properties", {}).items():
+        if key not in doc and "default" in prop:
+            doc[key] = copy.deepcopy(prop["default"])
+        if key in doc:
+            _fill_defaults(doc[key], prop)
+    for c in schema.get("allOf", ()):
+        if _Validator(c["if"]).is_valid(doc):
+            _fill_defaults(doc, c["then"])
+
+
+@functools.cache
+def _validator(command: str):
+    # the schemas are constants: check each against the meta-schema once per process
+    jsonschema.Draft202012Validator.check_schema(SCHEMAS[command])
+    return _Validator(SCHEMAS[command])
 
 
 def load_config(args, command: str) -> dict:
@@ -243,19 +275,18 @@ def load_config(args, command: str) -> dict:
             raise ConfigError(f"cannot read config {path}: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}:{e.lineno}:{e.colno}: malformed JSON: {e.msg}") from e
-    flags = [f for f in ("seed", "population", "threads") if isinstance(cfg, dict) and getattr(args, f, None) is not None]
+    flags = [f for f in _FLAGS if isinstance(cfg, dict) and getattr(args, f, None) is not None]
     for flag in flags:
-        cfg[flag] = getattr(args, flag)
+        cfg[flag] = _flag_value(getattr(args, flag))
     _fill_defaults(cfg, SCHEMAS[command])
-    try:
-        jsonschema.validate(cfg, SCHEMAS[command])
-    except jsonschema.ValidationError as e:
-        at = list(e.absolute_path)
-        if len(at) == 1 and at[0] in flags:  # the value came from the command line
-            raise ConfigError(f"--{at[0]}: {e.message}") from e
-        where = "/".join(map(str, at)) or "<root>"
-        raise ConfigError(f"{path or '<empty config>'}: at {where}: {e.message}") from e
-    return cfg
+    e = jsonschema.exceptions.best_match(_validator(command).iter_errors(cfg))
+    if e is None:
+        return cfg
+    at = list(e.absolute_path)
+    if len(at) == 1 and at[0] in flags:  # the value came from the command line
+        raise ConfigError(f"--{at[0]}: {e.message}")
+    where = "/".join(map(str, at)) or "<root>"
+    raise ConfigError(f"{path or '<empty config>'}: at {where}: {e.message}")
 
 
 def atomic_write(path: str, write_fn) -> None:
@@ -270,14 +301,16 @@ def atomic_write(path: str, write_fn) -> None:
         raise
 
 
+def _write_text(path: str, text: str) -> None:
+    def write(tmp: str) -> None:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+
+    atomic_write(path, write)
+
+
 def _write_json(path: str, obj) -> None:
-    atomic_write(path, lambda p: _dump_json(p, obj))
-
-
-def _dump_json(path: str, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _axis(spec) -> np.ndarray:
@@ -294,10 +327,9 @@ def _selector(cfg: dict):
     kind = cfg["kind"]
     if kind == "fixed":
         return FixedGamma(cfg["gamma"])
-    if kind == "cv" and "grid" in cfg:
-        return CvSelector(K=cfg["K"], grid=tuple(cfg["grid"]))
     if kind == "cv":
-        return CvSelector(K=cfg["K"], grid_size=cfg["grid_size"])
+        grid = tuple(cfg["grid"]) if "grid" in cfg else None
+        return CvSelector(K=cfg["K"], grid_size=cfg.get("grid_size"), grid=grid)
     return RotSelector(m=cfg["m"])
 
 
@@ -309,14 +341,12 @@ def _load_tree(path: str) -> TreeSample:
 
 
 # -- subcommand handlers: each reads only its resolved config ------------------
+# A ValueError raised while a handler runs is an invalid input: main exits 1.
 
 
 def _cmd_simulate(args, cfg: dict) -> int:
     init = InitSpec.dirac(cfg["x0"]) if cfg["init"] == "dirac" else InitSpec.stationary()
-    try:
-        sample = simulate(_model(cfg), cfg["n"], init, cfg["seed"])
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    sample = simulate(_model(cfg), cfg["n"], init, cfg["seed"])
     atomic_write(args.out, sample.to_raw if args.out.endswith(".f64") else sample.to_csv)
     return 0
 
@@ -328,12 +358,9 @@ def _cmd_estimate(args, cfg: dict) -> int:
         shape = "one axis ({min:, max:, num:} or a list)" if kind == "mu" else "{x:, x0:, x1:}"
         raise ConfigError(f"{kind} estimator needs grid = {shape}")
     grid = _axis(g) if kind == "mu" else (_axis(g["x"]), _axis(g["x0"]), _axis(g["x1"]))
-    try:
-        bw = BandwidthTriple(*cfg["bw"]) if "bw" in cfg else None
-        spec = EstimatorSpec(kind=kind, population=Population(cfg["population"]), h=cfg.get("h"), bw=bw)
-        est = evaluate_on_grid(sample, spec, grid)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    bw = BandwidthTriple(*cfg["bw"]) if "bw" in cfg else None
+    spec = EstimatorSpec(kind=kind, population=Population(cfg["population"]), h=cfg.get("h"), bw=bw)
+    est = evaluate_on_grid(sample, spec, grid)
     atomic_write(args.out, est.to_csv)
     _write_json(args.out + ".meta.json", est.meta)
     return 0
@@ -341,20 +368,11 @@ def _cmd_estimate(args, cfg: dict) -> int:
 
 def _cmd_cv_select(args, cfg: dict) -> int:
     sample = _load_tree(args.tree)
-    try:
-        res = cv_select(sample, K=cfg["K"], grid=_axis(cfg["grid"]) if "grid" in cfg else None, seed=cfg["seed"])
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    res = cv_select(sample, K=cfg["K"], grid=_axis(cfg["grid"]) if "grid" in cfg else None, seed=cfg["seed"])
     if "grid" not in cfg:  # the default candidates depend on the tree's depth
         cfg["grid"] = res.grid.tolist()
-
-    def write_scores(path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("h,score_den,score_num\n")
-            for h, sd, sn in zip(res.grid, res.scores_den, res.scores_num):
-                fh.write(f"{float(h)!r},{float(sd)!r},{float(sn)!r}\n")
-
-    atomic_write(args.out, write_scores)
+    rows = (f"{float(h)!r},{float(sd)!r},{float(sn)!r}\n" for h, sd, sn in zip(res.grid, res.scores_den, res.scores_num))
+    _write_text(args.out, "h,score_den,score_num\n" + "".join(rows))
     selection = {"h_D_hat": res.h_d_hat, "h_N_hat": res.h_n_hat, "K": res.K, "seed": res.seed}
     _write_json(os.path.splitext(args.out)[0] + ".json", selection)
     return 0
@@ -362,10 +380,7 @@ def _cmd_cv_select(args, cfg: dict) -> int:
 
 def _cmd_rot_select(args, cfg: dict) -> int:
     sample = _load_tree(args.tree)
-    try:
-        sel = rot_select(sample, cfg["m"])
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    sel = rot_select(sample, cfg["m"])
     doc = {
         "a_hat": sel.a_hat,
         "sigma_hats": list(sel.sigma_hats),
@@ -383,31 +398,24 @@ def _cmd_rot_select(args, cfg: dict) -> int:
 
 
 def _cmd_clt_check(args, cfg: dict) -> int:
-    try:
-        spec = ExperimentSpec(
-            model=_model(cfg["model"]),
-            n_list=tuple(cfg["n_list"]),
-            replications=cfg["replications"],
-            point=tuple(cfg["point"]),
-            population=Population(cfg["population"]),
-            selector=_selector(cfg["selector"]),
-            seed=cfg["seed"],
-            threads=cfg["threads"],
-        )
-        runner = run_clt_p_hat if cfg["statistic"] == "p_hat" else run_clt_mu_tri
-        report = runner(spec)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    spec = ExperimentSpec(
+        model=_model(cfg["model"]),
+        n_list=tuple(cfg["n_list"]),
+        replications=cfg["replications"],
+        point=tuple(cfg["point"]),
+        population=Population(cfg["population"]),
+        selector=_selector(cfg["selector"]),
+        seed=cfg["seed"],
+        threads=cfg["threads"],
+    )
+    report = (run_clt_p_hat if cfg["statistic"] == "p_hat" else run_clt_mu_tri)(spec)
     atomic_write(args.out, report.to_csv)
     _write_json(os.path.splitext(args.out)[0] + ".summary.json", report.summaries)
     return 0
 
 
 def _cmd_oracle_check(args, cfg: dict) -> int:
-    try:
-        rows = moment_check_table(_model(cfg), cfg["x"], cfg["n"], cfg["m"], cfg["replications"], cfg["seed"])
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    rows = moment_check_table(_model(cfg), cfg["x"], cfg["n"], cfg["m"], cfg["replications"], cfg["seed"])
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["formula", "mc_estimate", "se", "quadrature", "z_score", "status"])
@@ -415,28 +423,22 @@ def _cmd_oracle_check(args, cfg: dict) -> int:
         w.writerow([r.formula, repr(r.mc_estimate), repr(r.mc_se), repr(r.quadrature), repr(r.z_score), "pass" if r.passed else "FAIL"])
     print(buf.getvalue(), end="")
     if args.out:
-        atomic_write(args.out, lambda p: open(p, "w").write(buf.getvalue()))
+        _write_text(args.out, buf.getvalue())
     return 0 if all(r.passed for r in rows) else 2
 
 
 def _cmd_reproduce_figures(args, cfg: dict) -> int:
-    try:
-        runs = run_figure_reproduction(
-            case=cfg["case"],
-            selector=_selector(cfg["selector"]),
-            n_list=cfg["n_list"],
-            n_seeds=cfg["seeds"],
-            seed=cfg["seed"],
-            grid=FigureGrid(**cfg["grid"]),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    runs = run_figure_reproduction(
+        case=cfg["case"],
+        selector=_selector(cfg["selector"]),
+        n_list=cfg["n_list"],
+        n_seeds=cfg["seeds"],
+        seed=cfg["seed"],
+        grid=FigureGrid(**cfg["grid"]),
+    )
     os.makedirs(args.out, exist_ok=True)
     write_figure_outputs(runs, args.out)
-    _dump_json(
-        os.path.join(args.out, "mean_sup_errors.json"),
-        {str(n): v for n, v in mean_sup_errors(runs).items()},
-    )
+    _write_json(os.path.join(args.out, "mean_sup_errors.json"), {str(n): v for n, v in mean_sup_errors(runs).items()})
     if cfg["gnuplot"]:
         gnuplot_script(runs, args.out)
     return 0
@@ -446,30 +448,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bmckde", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, *, tree=False, out_required=True, out_is_dir=False, seed=False, population=False):
+    def add(name, handler, *, tree=False, out_required=True, out_is_dir=False):
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        if seed:
-            p.add_argument("--seed", type=int, default=None)
-        if population:
-            p.add_argument("--population", choices=["gen", "tree"], default=None)
+        for flag in ("config", *(f for f in _FLAGS if f in SCHEMAS[name]["properties"])):
+            p.add_argument(f"--{flag}")
         if tree:
             p.add_argument("--tree", required=True)
-        if out_required:
-            p.add_argument("--out", required=True, help="output directory" if out_is_dir else "output file")
-        else:
-            p.add_argument("--out", default=None)
+        p.add_argument("--out", required=out_required, help="output directory" if out_is_dir else "output file")
         p.set_defaults(handler=handler, out_is_dir=out_is_dir)
-        return p
 
-    add("simulate", _cmd_simulate, seed=True)
-    add("estimate", _cmd_estimate, tree=True, population=True)
-    add("cv-select", _cmd_cv_select, tree=True, seed=True)
+    add("simulate", _cmd_simulate)
+    add("estimate", _cmd_estimate, tree=True)
+    add("cv-select", _cmd_cv_select, tree=True)
     add("rot-select", _cmd_rot_select, tree=True, out_required=False)
-    clt = add("clt-check", _cmd_clt_check, seed=True, population=True)
-    clt.add_argument("--threads", type=int, default=None)
-    add("oracle-check", _cmd_oracle_check, out_required=False, seed=True)
-    add("reproduce-figures", _cmd_reproduce_figures, out_is_dir=True, seed=True)
+    add("clt-check", _cmd_clt_check)
+    add("oracle-check", _cmd_oracle_check, out_required=False)
+    add("reproduce-figures", _cmd_reproduce_figures, out_is_dir=True)
     return parser
 
 
@@ -481,7 +475,7 @@ def main(argv=None) -> int:
         if args.out:  # the sidecar is the resolved config the run used
             _write_json((os.path.join(args.out, "run") if args.out_is_dir else args.out) + ".config.json", cfg)
         return code
-    except ConfigError as e:
+    except ValueError as e:  # ConfigError, and any invalid value a command meets
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # runtime failure

@@ -129,7 +129,10 @@ class CvResult:
     seed: int
 
 
-def default_grid(n: int, size: int = 32) -> np.ndarray:
+DEFAULT_GRID_SIZE = 32
+
+
+def default_grid(n: int, size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     """Log-spaced candidates bracketing the 2^(-n*gamma), gamma in (0, 1/3) range."""
     return np.geomspace(2.0 ** (-0.33 * n), 1.0, size)
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import stats as sps
 
 from .bar import BarParams, InitSpec, SymmetricBarParams, mu_triangle, simulate, transition_density_p
-from .cv import cv_select, default_grid
+from .cv import DEFAULT_GRID_SIZE, cv_select, default_grid
 from .estimators import EstimatorSpec, evaluate_on_grid, mu_tri_hat, p_hat
 from .kernels import BandwidthTriple
 from .rng import derive_seed
@@ -43,14 +43,22 @@ class FixedGamma:
 
 @dataclass(frozen=True)
 class CvSelector:
+    """K-fold cross-validation over explicit candidates ``grid`` or over
+    ``grid_size`` default ones (``DEFAULT_GRID_SIZE`` when neither is given),
+    never both."""
+
     K: int = 5
-    grid_size: int = 32
-    grid: tuple[float, ...] | None = None  # explicit candidates override grid_size
+    grid_size: int | None = None
+    grid: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.grid is not None and self.grid_size is not None:
+            raise ValueError("give explicit candidates (grid) or their number (grid_size), not both")
 
     def candidates(self, n: int) -> np.ndarray:
         if self.grid is not None:
             return np.asarray(self.grid, dtype=float)
-        return default_grid(n, self.grid_size)
+        return default_grid(n, DEFAULT_GRID_SIZE if self.grid_size is None else self.grid_size)
 
 
 @dataclass(frozen=True)
@@ -96,9 +104,6 @@ class ReplicationRow:
 class ExperimentReport:
     rows: list[ReplicationRow]
     summaries: list[dict] = field(default_factory=list)
-
-    def rows_for(self, n: int) -> list[ReplicationRow]:
-        return [r for r in self.rows if r.n == n]
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:

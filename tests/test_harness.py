@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bmckde.bar import BarParams
+from bmckde.cv import default_grid
 from bmckde.harness import (
     CASE1,
     CASE2,
@@ -92,6 +93,15 @@ def test_rot_and_cv_selectors_run():
         small_spec(selector=CvSelector(K=3, grid_size=4), replications=2, n_list=(5,))
     )
     assert all(0 < r.h_num <= 1 for r in rep.rows)
+
+
+def test_cv_selector_takes_grid_or_grid_size_not_both():
+    with pytest.raises(ValueError):
+        CvSelector(K=5, grid_size=4, grid=(0.3, 0.6))
+    # 32 default candidates when neither is given
+    assert np.array_equal(CvSelector().candidates(10), default_grid(10, 32))
+    assert np.array_equal(CvSelector(K=5, grid_size=8).candidates(10), default_grid(10, 8))
+    assert np.array_equal(CvSelector(grid=(0.3, 0.6)).candidates(10), [0.3, 0.6])
 
 
 def test_summarize_stats_fields():

@@ -80,6 +80,31 @@ def test_raw_roundtrip(tmp_path):
     assert TreeSample.from_raw(path) == s
 
 
+# finite doubles, with the ones a text or byte round trip can lose weighted in
+EDGE_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e308, -1e308, 1.7976931348623157e308]
+)
+
+
+@st.composite
+def edge_trees(draw) -> TreeSample:
+    n = draw(st.integers(0, 4))
+    return TreeSample([np.array(draw(st.lists(EDGE_VALUES, min_size=1 << k, max_size=1 << k))) for k in range(n + 2)])
+
+
+@given(edge_trees())
+@settings(max_examples=50, deadline=None)
+def test_file_round_trips_keep_every_bit(tmp_path_factory, sample):
+    # compared as bytes: TreeSample equality (np.array_equal) takes -0.0 for 0.0
+    base = tmp_path_factory.mktemp("roundtrip")
+    for suffix, write, read in (("csv", TreeSample.to_csv, TreeSample.from_csv), ("f64", TreeSample.to_raw, TreeSample.from_raw)):
+        path = str(base / f"tree.{suffix}")
+        write(sample, path)
+        back = read(path)
+        assert back.depth == sample.depth
+        assert all(back.level(k).tobytes() == sample.level(k).tobytes() for k in range(sample.depth + 2))
+
+
 def test_csv_rejects_duplicate_rows_and_nonfinite_values(tmp_path):
     path = str(tmp_path / "tree.csv")
     make_sample(2, seed=5).to_csv(path)
