@@ -2,9 +2,11 @@
 
 The sample is the set of mother-daughters triangles over a chosen index set
 (one generation, or the whole tree).  Everything is direct summation, no
-binning or FFT shortcuts, done by one blocked primitive over a tensor grid of
-evaluation points; the scalar estimators are one-point grids, so grid
-evaluations agree bitwise with scalar calls by construction.
+binning or FFT shortcuts, done by one primitive over a tensor grid of
+evaluation points.  It keeps the daughter axes' kernel rows whole and forms
+the products in two reused cache-sized buffers; every value is still one
+contiguous sum over the sample.  The scalar estimators are one-point grids,
+so grid evaluations agree bitwise with scalar calls by construction.
 """
 
 from __future__ import annotations
@@ -23,21 +25,23 @@ from .tree import Population, TreeSample
 # than exact zero.
 DENOMINATOR_FLOOR = 1e-300
 
-_BLOCK_ENTRIES = 1 << 22  # cap scratch matrices at ~32 MB per block
+_BLOCK_ENTRIES = 1 << 16  # doubles per scratch buffer (512 KB): a block's three buffers fit a 2 MB L2
 
 
 def _kernel_sums(columns, bandwidths, axes) -> np.ndarray:
     """Normalized product-kernel sums at every point of the tensor grid of ``axes``.
 
-    Coordinate j of a grid point a contributes K0((a_j - columns[j]) / bandwidths[j])
-    per sample member; the value is the sum over the sample of the product of
-    those factors, divided by N times the bandwidths.  Values come flattened in
-    C order (first axis slowest).  Kernel rows are computed once per axis
-    value, and the product over the trailing axes of a block of trailing
-    points is reused for every first-axis row in a block of them.  A value is
-    always the contiguous row sum of the same elementwise products, so any
-    grid agrees bitwise with one-point grids.  Blocks hold at most
-    ``_BLOCK_ENTRIES`` entries; the trailing axes' kernel rows are kept whole.
+    ``axes`` is (x,) or (x, x0, x1).  Coordinate j of a grid point a contributes
+    K0((a_j - columns[j]) / bandwidths[j]) per sample member; the value is the
+    sum over the sample of the product of those factors, divided by N times the
+    bandwidths.  Values come flattened in C order (first axis slowest).  The x0
+    and x1 kernel rows are kept whole, the x rows computed in blocks.  The
+    products ``k0 * k1`` of one x0 row with a chunk of x1 rows (the whole axis,
+    for several x0 rows, when it fits) go into a reused buffer, and each x row
+    is multiplied into a second one and summed.  Every value is the contiguous
+    row sum of ``kx * (k0 * k1)``, so any grid agrees bitwise with one-point
+    grids.  Buffers hold at most ``_BLOCK_ENTRIES`` entries, or one row if it
+    is longer.
     """
     for h in bandwidths:
         if not (h > 0 and math.isfinite(h)):
@@ -45,24 +49,30 @@ def _kernel_sums(columns, bandwidths, axes) -> np.ndarray:
     size = columns[0].size
     if size == 0:
         raise ValueError("empty index set")
-    trailing = [GAUSSIAN((ax[:, None] - col[None, :]) / h) for ax, col, h in zip(axes[1:], columns[1:], bandwidths[1:])]
-    shape = tuple(ax.size for ax in axes[1:])
-    n_trail = math.prod(shape)
-    step = max(1, _BLOCK_ENTRIES // size)
-    out = np.empty((axes[0].size, n_trail))
+    step = max(1, _BLOCK_ENTRIES // size)  # kernel rows per buffer
+    trailing = [np.empty((ax.size, size)) for ax in axes[1:]]
+    for rows, ax, col, h in zip(trailing, axes[1:], columns[1:], bandwidths[1:]):
+        for i in range(0, ax.size, step):
+            GAUSSIAN((ax[i : i + step, None] - col[None, :]) / h, out=rows[i : i + step])
+    out = np.empty((axes[0].size, math.prod(ax.size for ax in axes[1:])))
+    if trailing:
+        k0, k1 = trailing
+        chunk = min(step, len(k1))
+        group = min(len(k0), max(1, step // len(k1)))  # x0 rows per block
+        tail, prod = np.empty((2, group * chunk, size))
     for a0 in range(0, axes[0].size, step):
         lead = GAUSSIAN((axes[0][a0 : a0 + step, None] - columns[0][None, :]) / bandwidths[0])
         if not trailing:
             out[a0 : a0 + step, 0] = np.sum(lead, axis=-1)
             continue
-        for t0 in range(0, n_trail, step):
-            t1 = min(t0 + step, n_trail)
-            idx = np.unravel_index(np.arange(t0, t1), shape)
-            tail = trailing[0][idx[0]]
-            for rows, i in zip(trailing[1:], idx[1:]):
-                tail = tail * rows[i]
-            for i, row in enumerate(lead):
-                out[a0 + i, t0:t1] = np.sum(row * tail, axis=-1)
+        for i0 in range(0, len(k0), group):
+            for i1 in range(0, len(k1), chunk):
+                r0, r1 = k0[i0 : i0 + group, None], k1[i1 : i1 + chunk]
+                block, scratch = tail[: len(r0) * len(r1)], prod[: len(r0) * len(r1)]
+                np.multiply(r0, r1, out=block.reshape(len(r0), len(r1), size))
+                t0 = i0 * len(k1) + i1
+                for i, row in enumerate(lead):
+                    out[a0 + i, t0 : t0 + len(block)] = np.sum(np.multiply(row, block, out=scratch), axis=-1)
     norm = size
     for h in bandwidths:
         norm = norm * h

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,11 @@ from bmckde.kernels import GAUSSIAN, BandwidthTriple
 from bmckde.tree import Population, TreeSample
 
 SQRT_2PI = math.sqrt(2 * math.pi)
+
+
+def bits(v):
+    # byte-level equality: unlike ==, tells -0.0 from 0.0 and NaN payloads apart
+    return np.float64(v).tobytes()
 
 
 def tiny_sample(values3):
@@ -185,7 +191,7 @@ def test_p_hat_near_truth_with_rot_bandwidths():
 def test_grid_single_point_equals_scalar_call():
     s = simulate(BarParams(0.7, 0.5), 4, InitSpec.dirac(0.0), 6)
     est = evaluate_on_grid(s, EstimatorSpec(kind="mu", population=Population.GEN_N, h=0.3), np.array([0.4]))
-    assert est.values[0] == mu_hat(s, Population.GEN_N, 0.3, 0.4)
+    assert bits(est.values[0]) == bits(mu_hat(s, Population.GEN_N, 0.3, 0.4))
 
 
 def test_grid_order_preserved():
@@ -194,7 +200,7 @@ def test_grid_order_preserved():
     est = evaluate_on_grid(s, EstimatorSpec(kind="mu", population=Population.GEN_N, h=0.3), xs)
     assert np.array_equal(est.points, xs)
     for x, v in zip(xs, est.values):
-        assert v == mu_hat(s, Population.GEN_N, 0.3, float(x))
+        assert bits(v) == bits(mu_hat(s, Population.GEN_N, 0.3, float(x)))
 
 
 def test_product_grid_matches_pointwise_exactly():
@@ -206,7 +212,7 @@ def test_product_grid_matches_pointwise_exactly():
     rng = np.random.default_rng(0)
     for idx in rng.choice(est.points.shape[0], size=10, replace=False):
         x, x0, x1 = est.points[idx]
-        assert est.values[idx] == p_hat(s, Population.GEN_N, bw, 0.25, x, x0, x1)
+        assert bits(est.values[idx]) == bits(p_hat(s, Population.GEN_N, bw, 0.25, x, x0, x1))
 
 
 def test_large_product_grid_completes_and_matches_spot_checks():
@@ -222,7 +228,7 @@ def test_large_product_grid_completes_and_matches_spot_checks():
     rng = np.random.default_rng(0)
     for idx in rng.choice(est.points.shape[0], size=10, replace=False):
         x, x0, x1 = est.points[idx]
-        assert est.values[idx] == p_hat(s, Population.GEN_N, bw, 0.25, x, x0, x1)
+        assert bits(est.values[idx]) == bits(p_hat(s, Population.GEN_N, bw, 0.25, x, x0, x1))
 
 
 def test_mu_hat_grid_error_shrinks_with_depth():
@@ -301,11 +307,12 @@ _bandwidth = st.floats(0.05, 2.0)
     population=st.sampled_from(list(Population)),
     hs=st.tuples(_bandwidth, _bandwidth, _bandwidth, _bandwidth),
     axes=st.tuples(_axis_values, _axis_values, _axis_values),
-    block=st.sampled_from([1, 100, estimators._BLOCK_ENTRIES]),
+    block=st.sampled_from([1, 100, 400, 2000, estimators._BLOCK_ENTRIES]),
 )
 @settings(max_examples=40, deadline=None)
 def test_grid_values_equal_scalar_calls_bitwise(depth, seed, population, hs, axes, block):
-    # small scratch caps split the grid into many blocks of one or a few rows
+    # small scratch caps split the grid into many blocks of one or a few rows:
+    # ragged x1 chunks, several x0 rows per block, several x rows per block
     s = simulate(BarParams(0.7, 0.5), depth, InitSpec.dirac(0.0), seed)
     h_den, bw = hs[0], BandwidthTriple(*hs[1:])
     axes = tuple(np.array(a) for a in axes)
@@ -319,3 +326,75 @@ def test_grid_values_equal_scalar_calls_bitwise(depth, seed, population, hs, axe
     assert mu.values.tobytes() == np.array(scalar_mu).tobytes()
     assert tri.values.tobytes() == np.array(scalar_tri).tobytes()
     assert p.values.tobytes() == np.array(scalar_p).tobytes()
+
+
+@pytest.mark.parametrize("population", list(Population))
+@pytest.mark.parametrize("rows", [1, 3, 12, None])
+def test_grid_values_equal_naive_formula_bitwise(population, rows):
+    # pins the values themselves, not only grid == scalar.  `rows` kernel rows
+    # per buffer on 4 x 3 x 5 axes: 3 leaves a ragged x1 chunk and puts
+    # several x rows in a block; 12 takes the whole x1 axis for two x0 rows;
+    # None is the default cap, one block for the whole grid
+    s = simulate(BarParams(0.7, 0.5), 5, InitSpec.dirac(0.0), 11)
+    X, C0, C1 = s.triangle_arrays(population)
+    N = X.size
+    h, h0, h1, h_den = 0.3, 0.25, 0.4, 0.35
+    axes = (np.linspace(-2, 2, 4), np.array([-0.5, 0.0, 1.2]), np.linspace(-3, 3, 5))
+    cap = estimators._BLOCK_ENTRIES if rows is None else rows * N
+    with mock.patch.object(estimators, "_BLOCK_ENTRIES", cap):
+        mu = evaluate_on_grid(s, EstimatorSpec("mu", population, h=h_den), axes[0])
+        tri = evaluate_on_grid(s, EstimatorSpec("mu_tri", population, bw=BandwidthTriple(h, h0, h1)), axes)
+        p = evaluate_on_grid(s, EstimatorSpec("p", population, h=h_den, bw=BandwidthTriple(h, h0, h1)), axes)
+    den = {x: np.sum(GAUSSIAN((x - X) / h_den)) / (N * h_den) for x in axes[0]}
+    num = [
+        np.sum(GAUSSIAN((x - X) / h) * (GAUSSIAN((x0 - C0) / h0) * GAUSSIAN((x1 - C1) / h1))) / (((N * h) * h0) * h1)
+        for x, x0, x1 in product_points(*axes)
+    ]
+    quotient = [v / den[x] if den[x] >= DENOMINATOR_FLOOR else 0.0 for v, x in zip(num, p.points[:, 0])]
+    assert mu.values.tobytes() == np.array([den[x] for x in axes[0]]).tobytes()
+    assert tri.values.tobytes() == np.array(num).tobytes()
+    assert p.values.tobytes() == np.array(quotient).tobytes()
+
+
+def test_grid_scratch_memory_is_two_kernel_row_matrices():
+    # depth-14 41x41 slice: the x0 and x1 kernel rows (41 x 2^14 doubles,
+    # 5.1 MiB each) are kept whole, every other buffer holds at most
+    # _BLOCK_ENTRIES doubles, so blocks of tens of MiB break the bound
+    n = 14
+    s = simulate(BarParams(1.2, 0.7), n, InitSpec.dirac(0.0), 7)
+    ax = np.linspace(-3, 3, 41)
+    spec = EstimatorSpec("p", Population.GEN_N, h=0.3, bw=BandwidthTriple(0.3, 0.2, 0.2))
+    kernel_rows = ax.size * (1 << n) * 8
+    tracemalloc.start()
+    try:
+        est = evaluate_on_grid(s, spec, (np.array([0.0]), ax, ax))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * kernel_rows + 4 * 2**20
+    assert bits(est.values[900]) == bits(p_hat(s, Population.GEN_N, spec.bw, 0.3, *est.points[900]))
+
+
+def test_tail_density_near_1e_200_is_kept_exactly():
+    # kernel exponents are not floored: about 30 bandwidths past the largest
+    # daughter value, the nearest member's x1 factor is about 1e-200 and the
+    # others underflow (exponents below -708), yet the density is a normal
+    # number; it must stay nonzero and equal the direct sum and scalar calls
+    s = simulate(BarParams(0.7, 0.5), 4, InitSpec.dirac(0.0), 3)
+    X, C0, C1 = s.triangle_arrays(Population.GEN_N)
+    u = int(np.argmax(C1))
+    bw = BandwidthTriple(0.3, 0.3, 0.1)
+    far = float(C1[u]) + 3.03
+    exponents = np.sort(-0.5 * ((far - C1) / bw.h1) ** 2)
+    assert -470 < exponents[-1] < -450 and exponents[-2] < -708
+    axes = (np.array([X[u], 0.0]), np.array([0.5, C0[u]]), np.array([0.0, far]))
+    tri = evaluate_on_grid(s, EstimatorSpec("mu_tri", bw=bw), axes)
+    p = evaluate_on_grid(s, EstimatorSpec("p", h=0.3, bw=bw), axes)
+    pt = tuple(tri.points[3])
+    assert pt == (X[u], C0[u], far)
+    direct = np.sum(GAUSSIAN((pt[0] - X) / 0.3) * (GAUSSIAN((pt[1] - C0) / 0.3) * GAUSSIAN((far - C1) / 0.1)))
+    assert np.finfo(float).tiny < tri.values[3] < 1e-195
+    assert np.finfo(float).tiny < p.values[3] < 1e-195
+    assert bits(tri.values[3]) == bits(direct / (((X.size * 0.3) * 0.3) * 0.1))
+    assert bits(tri.values[3]) == bits(mu_tri_hat(s, Population.GEN_N, bw, *pt))
+    assert bits(p.values[3]) == bits(p_hat(s, Population.GEN_N, bw, 0.3, *pt))
