@@ -53,7 +53,7 @@ def _kernel_sums(columns, bandwidths, axes) -> np.ndarray:
     trailing = [np.empty((ax.size, size)) for ax in axes[1:]]
     for rows, ax, col, h in zip(trailing, axes[1:], columns[1:], bandwidths[1:]):
         for i in range(0, ax.size, step):
-            GAUSSIAN((ax[i : i + step, None] - col[None, :]) / h, out=rows[i : i + step])
+            rows[i : i + step] = GAUSSIAN((ax[i : i + step, None] - col[None, :]) / h)
     out = np.empty((axes[0].size, math.prod(ax.size for ax in axes[1:])))
     if trailing:
         k0, k1 = trailing
