@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import philox_stream
+from .rng import philox_stream, rekey
 from .tree import MAX_DEPTH, TreeSample
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -106,11 +106,12 @@ def simulate(params: BarParams, n: int, init: InitSpec, seed: int) -> TreeSample
     if init.kind is InitKind.STATIONARY and not params.is_symmetric:
         raise ValueError("stationary initialization requires the symmetric sub-case")
 
+    gen = philox_stream(seed, 0)  # one bit generator per call, re-keyed per generation
     if init.kind is InitKind.DIRAC:
         root = np.array([float(init.x0)])
     else:
         sym = SymmetricBarParams(params.a0, params.sigma)
-        root = sym.sigma_a * philox_stream(seed, 0).standard_normal(1)
+        root = sym.sigma_a * gen.standard_normal(1)
 
     sigma, rho = params.sigma, params.rho
     c10 = rho / sigma
@@ -119,7 +120,7 @@ def simulate(params: BarParams, n: int, init: InitSpec, seed: int) -> TreeSample
     levels = [root]
     for k in range(n + 1):
         parents = levels[k]
-        z = philox_stream(seed, k + 1).standard_normal((1 << k, 2))
+        z = rekey(gen, seed, k + 1).standard_normal((1 << k, 2))
         e0 = sigma * z[:, 0]
         e1 = c10 * z[:, 0] + c11 * z[:, 1]
         children = np.empty(1 << (k + 1))

@@ -11,7 +11,9 @@ form exists.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -77,8 +79,15 @@ def grid_function(nodes: np.ndarray, fn) -> GridFunction:
     return GridFunction(nodes, fn(np.asarray(nodes, dtype=float)))
 
 
+@lru_cache(maxsize=8)
 def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights, computed once per node count.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
     t, w = np.polynomial.hermite.hermgauss(nodes)
+    t.flags.writeable = False
+    w.flags.writeable = False
     return t, w
 
 
@@ -87,17 +96,20 @@ def apply_q(params: BarParams, f: GridFunction, gh_nodes: int = GH_NODES) -> Gri
 
     Gauss-Hermite quadrature of each Gaussian mixture component.  If either
     component puts more than TAIL_TOLERANCE mass outside the grid support for
-    some grid node, the result carries a tail warning.
+    some grid node, the result carries a tail warning.  Coinciding components
+    (every symmetric model) are integrated once and added twice.
     """
     t, w = _hermgauss(gh_nodes)
     x = f.nodes
     lo, hi = x[0], x[-1]
     acc = np.zeros_like(x)
     warn = f.tail_warning
-    for a, b in ((params.a0, params.b0), (params.a1, params.b1)):
+    for (a, b), count in Counter(((params.a0, params.b0), (params.a1, params.b1))).items():
         mean = a * x + b
         y = mean[:, None] + _SQRT2 * params.sigma * t[None, :]
-        acc += (f(y) @ w) / math.sqrt(math.pi)
+        component = (f(y) @ w) / math.sqrt(math.pi)
+        for _ in range(count):
+            acc += component
         tail = ndtr((lo - mean) / params.sigma) + ndtr((mean - hi) / params.sigma)
         warn = warn or bool(np.max(tail) > TAIL_TOLERANCE)
     return GridFunction(x, 0.5 * acc, warn)
@@ -106,19 +118,27 @@ def apply_q(params: BarParams, f: GridFunction, gh_nodes: int = GH_NODES) -> Gri
 def _apply_p_outer(
     params: BarParams, g1: GridFunction, g2: GridFunction, gh_nodes: int = GH_NODES
 ) -> GridFunction:
-    """x -> E[g1(child0) * g2(child1) | parent = x], joint over the correlated pair."""
+    """x -> E[g1(child0) * g2(child1) | parent = x], joint over the correlated pair.
+
+    The second child's node z[i, j, l] depends on the first child's node j
+    only through rho; at rho = 0 it is built, and g2 evaluated, for one j and
+    broadcast to the full (G, gh, gh) array, so the matmul sees the bytes
+    the full evaluation would give.
+    """
     t, w = _hermgauss(gh_nodes)
     x = g1.nodes
     c10 = params.rho / params.sigma
     c11 = math.sqrt(params.sigma**2 - params.rho**2 / params.sigma**2)
+    tj = t[:1] if c10 == 0 else t
     y = params.a0 * x[:, None] + params.b0 + _SQRT2 * params.sigma * t[None, :]
     z = (
         params.a1 * x[:, None, None]
         + params.b1
-        + _SQRT2 * c10 * t[None, :, None]
+        + _SQRT2 * c10 * tj[None, :, None]
         + _SQRT2 * c11 * t[None, None, :]
     )
-    inner = g2(z) @ w  # (G, gh) after integrating the second child
+    g2z = np.ascontiguousarray(np.broadcast_to(g2(z), (x.size, gh_nodes, gh_nodes)))
+    inner = g2z @ w  # (G, gh) after integrating the second child
     vals = ((g1(y) * inner) @ w) / math.pi
     return GridFunction(x, vals, g1.tail_warning or g2.tail_warning)
 
@@ -135,10 +155,7 @@ def expected_generation_sum(params: BarParams, f: GridFunction, x: float, n: int
     """Expectation of the generation-n sum of f, started from x: 2^n * Q^n f(x)."""
     if not 0 <= n <= 8:
         raise ValueError("n must be in [0, 8] (quadrature cost grows with n)")
-    g = f
-    for _ in range(n):
-        g = apply_q(params, g)
-    return float(2**n * g(x))
+    return float(2**n * _iterate_q(params, f, n)(x))
 
 
 def second_moment_generation_sum(params: BarParams, f: GridFunction, x: float, n: int) -> float:
@@ -152,9 +169,10 @@ def second_moment_generation_sum(params: BarParams, f: GridFunction, x: float, n
     term = 2**n * _iterate_q(params, f.map_values(np.square), n)(x)
     qk = f
     for k in range(n):
+        if k:
+            qk = apply_q(params, qk)
         pk = _apply_p_outer(params, qk, qk)
         term += 2 ** (n + k) * _iterate_q(params, pk, n - k - 1)(x)
-        qk = apply_q(params, qk)
     return float(term)
 
 
@@ -169,10 +187,11 @@ def mixed_moment(
     term = 2**n * _iterate_q(params, lead, m)(x)
     qk_g, qk_f = g, qnm_f
     for k in range(m):
+        if k:
+            qk_g = apply_q(params, qk_g)
+            qk_f = apply_q(params, qk_f)
         pk = _apply_p_sym_outer(params, qk_g, qk_f)
         term += 2 ** (n + k) * _iterate_q(params, pk, m - k - 1)(x)
-        qk_g = apply_q(params, qk_g)
-        qk_f = apply_q(params, qk_f)
     return float(term)
 
 
@@ -258,20 +277,25 @@ def moment_check_table(
 
     if not 0 <= m <= n <= 5:
         raise ValueError("need 0 <= m <= n <= 5")
+    if replications < 2:
+        raise ValueError("need at least 2 replications for a standard error")
     if grid is None:
         grid = default_grid(params)
     f_id = grid_function(grid, lambda y: y)
     f_bump = grid_function(grid, gaussian_bump())
 
-    sums: dict[str, list[float]] = {"id_n": [], "bump_n": [], "id_m": [], "bump_m": []}
+    lvl_n = np.empty((replications, 1 << n))
+    lvl_m = np.empty((replications, 1 << m))
     for r in range(replications):
         tree = simulate(params, max(n - 1, 0), InitSpec.dirac(x), derive_seed(seed, r))
-        lvl_n, lvl_m = tree.level(n), tree.level(m)
-        sums["id_n"].append(float(np.sum(lvl_n)))
-        sums["bump_n"].append(float(np.sum(gaussian_bump()(lvl_n))))
-        sums["id_m"].append(float(np.sum(lvl_m)))
-        sums["bump_m"].append(float(np.sum(gaussian_bump()(lvl_m))))
-    arr = {k: np.asarray(v) for k, v in sums.items()}
+        lvl_n[r], lvl_m[r] = tree.level(n), tree.level(m)
+    bump = gaussian_bump()
+    arr = {
+        "id_n": np.sum(lvl_n, axis=1),
+        "bump_n": np.sum(bump(lvl_n), axis=1),
+        "id_m": np.sum(lvl_m, axis=1),
+        "bump_m": np.sum(bump(lvl_m), axis=1),
+    }
 
     def row(name: str, samples: np.ndarray, target: float) -> MomentCheckRow:
         mean = float(np.mean(samples))

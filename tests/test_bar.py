@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from bmckde.bar import (
     BarParams,
+    InitKind,
     InitSpec,
     SymmetricBarParams,
     mu_triangle,
@@ -14,6 +15,7 @@ from bmckde.bar import (
     stationary_mu,
     transition_density_p,
 )
+from bmckde.rng import derive_seed, philox_stream
 
 CASE1 = BarParams(0.7, 0.5, 0.0, 0.0, 1.0, 0.0)
 CASE2 = BarParams(1.2, 0.7, 0.0, 0.0, 1.0, 0.0)
@@ -75,6 +77,41 @@ def test_tiny_noise_follows_recursion():
         children = s.level(k + 1)
         assert np.max(np.abs(children[0::2] - 0.7 * parents)) <= 1e-6
         assert np.max(np.abs(children[1::2] - 0.7 * parents)) <= 1e-6
+
+
+def reference_levels(params, n, init, seed):
+    """Tree levels drawn the documented way: generation k's noise from stream k + 1."""
+    if init.kind is InitKind.DIRAC:
+        root = np.array([init.x0])
+    else:
+        sigma_a = SymmetricBarParams(params.a0, params.sigma).sigma_a
+        root = sigma_a * philox_stream(seed, 0).standard_normal(1)
+    c10 = params.rho / params.sigma
+    c11 = math.sqrt(params.sigma**2 - params.rho**2 / params.sigma**2)
+    levels = [root]
+    for k in range(n + 1):
+        z = philox_stream(seed, k + 1).standard_normal((2**k, 2))
+        children = np.empty(2 ** (k + 1))
+        children[0::2] = params.a0 * levels[k] + params.b0 + params.sigma * z[:, 0]
+        children[1::2] = params.a1 * levels[k] + params.b1 + (c10 * z[:, 0] + c11 * z[:, 1])
+        levels.append(children)
+    return levels
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1, (1 << 63) + 5, derive_seed(271828, 3)])
+@pytest.mark.parametrize(
+    "params,init",
+    [
+        (BarParams(0.5, 0.5), InitSpec.stationary()),
+        (BarParams(0.5, 0.5), InitSpec.dirac(0.5)),
+        (BarParams(0.7, 0.4, 0.3, -0.2, 1.3, 0.4), InitSpec.dirac(-1.0)),
+    ],
+)
+def test_simulate_levels_equal_per_stream_reference_bitwise(params, init, seed):
+    for n in (0, 1, 3, 9):
+        tree = simulate(params, n, init, seed)
+        for k, expected in enumerate(reference_levels(params, n, init, seed)):
+            assert tree.level(k).tobytes() == expected.tobytes()
 
 
 def test_correlated_noise_covariance():

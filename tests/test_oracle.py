@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from bmckde.bar import BarParams, InitSpec, SymmetricBarParams, mu_triangle, sim
 from bmckde.kernels import GAUSSIAN
 from bmckde.oracle import (
     GridFunction,
+    _apply_p_outer,
+    _hermgauss,
     apply_q,
     default_grid,
     expected_generation_sum,
@@ -21,6 +24,7 @@ from bmckde.rng import derive_seed
 from bmckde.tree import Population
 
 SYM = BarParams(0.5, 0.5, 0.0, 0.0, 1.0, 0.0)
+CORRELATED = BarParams(0.7, 0.4, 0.3, -0.2, 1.0, 0.4)
 
 
 def test_grid_function_validation():
@@ -88,6 +92,62 @@ def test_narrow_support_sets_warning():
     assert apply_q(SYM, one).tail_warning
 
 
+def test_hermgauss_is_cached_read_only():
+    t, w = _hermgauss(64)
+    assert _hermgauss(64)[0] is t
+    assert not t.flags.writeable and not w.flags.writeable
+    t_ref, w_ref = np.polynomial.hermite.hermgauss(64)
+    assert t.tobytes() == t_ref.tobytes() and w.tobytes() == w_ref.tobytes()
+
+
+@pytest.mark.parametrize("params", [SYM, BarParams(0.7, 0.5, 0.3, -0.2, 1.0, 0.0)])
+def test_apply_q_equals_two_component_formula_bitwise(params):
+    grid = default_grid(params)
+    bump = grid_function(grid, gaussian_bump(0.5, 0.8))
+    t, w = np.polynomial.hermite.hermgauss(64)
+    acc = np.zeros_like(grid)
+    for a, b in ((params.a0, params.b0), (params.a1, params.b1)):
+        y = (a * grid + b)[:, None] + math.sqrt(2) * params.sigma * t[None, :]
+        acc += (bump(y) @ w) / math.sqrt(math.pi)
+    assert apply_q(params, bump).values.tobytes() == (0.5 * acc).tobytes()
+
+
+def full_p_outer(params, g1, g2):
+    """E[g1(child0) g2(child1) | x] with g2 evaluated on the whole (G, gh, gh) node array."""
+    t, w = np.polynomial.hermite.hermgauss(64)
+    x, s2 = g1.nodes, math.sqrt(2)
+    c10 = params.rho / params.sigma
+    c11 = math.sqrt(params.sigma**2 - params.rho**2 / params.sigma**2)
+    y = params.a0 * x[:, None] + params.b0 + s2 * params.sigma * t[None, :]
+    z = params.a1 * x[:, None, None] + params.b1 + s2 * c10 * t[None, :, None] + s2 * c11 * t[None, None, :]
+    return ((g1(y) * (g2(z) @ w)) @ w) / math.pi
+
+
+@pytest.mark.parametrize("params", [SYM, BarParams(0.7, 0.5, 0.3, -0.2, 1.3, 0.0), CORRELATED])
+def test_apply_p_outer_equals_full_formula_bitwise(params):
+    grid = default_grid(params)
+    g1 = grid_function(grid, lambda y: y)
+    g2 = grid_function(grid, gaussian_bump(0.5, 0.8))
+    assert _apply_p_outer(params, g1, g2).values.tobytes() == full_p_outer(params, g1, g2).tobytes()
+
+
+def test_apply_p_outer_uncorrelated_scratch_is_one_node_array():
+    # at rho = 0 g2 is evaluated once per (grid node, second-child node);
+    # evaluating it on the whole node array holds three (G, 64, 64) arrays
+    grid = default_grid(SYM)
+    g1 = grid_function(grid, lambda y: y)
+    g2 = grid_function(grid, gaussian_bump())
+    _apply_p_outer(SYM, g1, g2)
+    tracemalloc.start()
+    try:
+        _apply_p_outer(SYM, g1, g2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    node_array = grid.size * 64 * 64 * 8
+    assert peak <= 1.25 * node_array
+
+
 def test_expected_generation_sum():
     grid = default_grid(SYM)
     one = grid_function(grid, np.ones_like)
@@ -151,6 +211,45 @@ def test_moment_check_table_runs_and_passes():
     assert any("Q2bis" in s for s in labels)
 
 
+def per_tree_rows(params, x, n, m, replications, seed):
+    """moment_check_table's rows, summing each tree's levels one tree at a time."""
+    grid = default_grid(params)
+    f_id = grid_function(grid, lambda y: y)
+    f_bump = grid_function(grid, gaussian_bump())
+    sums = {"id_n": [], "bump_n": [], "id_m": [], "bump_m": []}
+    for r in range(replications):
+        tree = simulate(params, max(n - 1, 0), InitSpec.dirac(x), derive_seed(seed, r))
+        for key, level in (("n", tree.level(n)), ("m", tree.level(m))):
+            sums["id_" + key].append(float(np.sum(level)))
+            sums["bump_" + key].append(float(np.sum(gaussian_bump()(level))))
+    arr = {k: np.asarray(v) for k, v in sums.items()}
+    cases = []
+    for label, fn, key in (("f=y", f_id, "id_n"), ("f=bump", f_bump, "bump_n")):
+        cases.append((f"Q1[{label}, n={n}]", arr[key], expected_generation_sum(params, fn, x, n)))
+        cases.append((f"Q2[{label}, n={n}]", arr[key] ** 2, second_moment_generation_sum(params, fn, x, n)))
+    cases.append(
+        (
+            f"Q2bis[f=y,g=bump, n={n}, m={m}]",
+            arr["id_n"] * arr["bump_m"],
+            mixed_moment(params, f_id, f_bump, x, n, m),
+        )
+    )
+    rows = []
+    for name, samples, target in cases:
+        mean = float(np.mean(samples))
+        se = float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
+        rows.append((name, mean, se, target, 0.0 if se == 0 else (mean - target) / se))
+    return rows
+
+
+@pytest.mark.parametrize("params", [SYM, CORRELATED])
+@pytest.mark.parametrize("n,m", [(4, 2), (0, 0)])
+def test_moment_check_table_equals_per_tree_sums_bitwise(params, n, m):
+    rows = moment_check_table(params, x=0.5, n=n, m=m, replications=300, seed=11)
+    got = [(r.formula, r.mc_estimate, r.mc_se, r.quadrature, r.z_score) for r in rows]
+    assert got == per_tree_rows(params, 0.5, n, m, 300, 11)
+
+
 @pytest.mark.parametrize("n,m", [(2, 4), (6, 1), (3, -1)])
 def test_moment_check_table_rejects_levels_before_simulating(monkeypatch, n, m):
     import bmckde.bar
@@ -161,6 +260,18 @@ def test_moment_check_table_rejects_levels_before_simulating(monkeypatch, n, m):
     monkeypatch.setattr(bmckde.bar, "simulate", no_simulation)
     with pytest.raises(ValueError, match="0 <= m <= n <= 5"):
         moment_check_table(SYM, x=0.5, n=n, m=m, replications=10, seed=0)
+
+
+@pytest.mark.parametrize("replications", [1, 0, -3])
+def test_moment_check_table_rejects_too_few_replications(monkeypatch, replications):
+    import bmckde.bar
+
+    def no_simulation(*args):
+        raise AssertionError("simulated before checking the replication count")
+
+    monkeypatch.setattr(bmckde.bar, "simulate", no_simulation)
+    with pytest.raises(ValueError, match="at least 2 replications"):
+        moment_check_table(SYM, x=0.5, n=3, m=2, replications=replications, seed=0)
 
 
 def test_true_variance_constants():
