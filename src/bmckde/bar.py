@@ -94,11 +94,27 @@ def simulate(params: BarParams, n: int, init: InitSpec, seed: int) -> TreeSample
     """Simulate a BAR tree of depth n (levels 0..n+1 stored).
 
     The noise of generation k is drawn from the Philox stream keyed by
-    (seed, k), one (e_u0, e_u1) pair per parent in rank order, so output is a
-    pure function of (params, n, init, seed): bit-identical across runs and
-    worker counts.  Correlated pairs come from the Cholesky split
+    (seed, k + 1), one (e_u0, e_u1) pair per parent in rank order, and a
+    stationary root from stream (seed, 0), so output is a pure function of
+    (params, n, init, seed): bit-identical across runs and worker counts.
+    Correlated pairs come from the Cholesky split
     e_u0 = sigma*Z0, e_u1 = (rho/sigma)*Z0 + sqrt(sigma^2 - rho^2/sigma^2)*Z1.
     """
+    return TreeSample([lv[0] for lv in simulate_levels(params, n, init, [seed])])
+
+
+def simulate_levels(params: BarParams, n: int, init: InitSpec, seeds) -> list[np.ndarray]:
+    """Levels 0..n+1 of one tree per seed: level k is an (R, 2^k) array.
+
+    Row r of every level is bitwise ``simulate(params, n, init, seeds[r])``:
+    one bit generator is re-keyed to each (seed, stream) in turn, each seed
+    reaching ``rekey`` as given.  Levels are built flat, R rows of 2^k values
+    back to back, so the children of flat parent j are flat entries 2j and
+    2j+1 and one generation is one pass of the per-tree expressions.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     if n < 0:
         raise ValueError("depth must be >= 0")
     if n > MAX_DEPTH:
@@ -106,12 +122,16 @@ def simulate(params: BarParams, n: int, init: InitSpec, seed: int) -> TreeSample
     if init.kind is InitKind.STATIONARY and not params.is_symmetric:
         raise ValueError("stationary initialization requires the symmetric sub-case")
 
-    gen = philox_stream(seed, 0)  # one bit generator per call, re-keyed per generation
+    reps = len(seeds)
+    gen = philox_stream(seeds[0], 0)  # one bit generator per call, re-keyed per stream
     if init.kind is InitKind.DIRAC:
-        root = np.array([float(init.x0)])
+        root = np.full(reps, float(init.x0))
     else:
         sym = SymmetricBarParams(params.a0, params.sigma)
-        root = sym.sigma_a * gen.standard_normal(1)
+        z = np.empty(reps)
+        for r, seed in enumerate(seeds):
+            rekey(gen, seed, 0).standard_normal(out=z[r : r + 1])
+        root = sym.sigma_a * z
 
     sigma, rho = params.sigma, params.rho
     c10 = rho / sigma
@@ -120,14 +140,17 @@ def simulate(params: BarParams, n: int, init: InitSpec, seed: int) -> TreeSample
     levels = [root]
     for k in range(n + 1):
         parents = levels[k]
-        z = rekey(gen, seed, k + 1).standard_normal((1 << k, 2))
+        z = np.empty((reps, 1 << k, 2))
+        for r, seed in enumerate(seeds):
+            rekey(gen, seed, k + 1).standard_normal(out=z[r])
+        z = z.reshape(-1, 2)
         e0 = sigma * z[:, 0]
         e1 = c10 * z[:, 0] + c11 * z[:, 1]
-        children = np.empty(1 << (k + 1))
+        children = np.empty(reps << (k + 1))
         children[0::2] = params.a0 * parents + params.b0 + e0
         children[1::2] = params.a1 * parents + params.b1 + e1
         levels.append(children)
-    return TreeSample(levels)
+    return [lv.reshape(reps, 1 << k) for k, lv in enumerate(levels)]
 
 
 def transition_density_p(params: BarParams, x, y, z):

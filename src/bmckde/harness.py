@@ -160,23 +160,30 @@ def _run_clt(spec: ExperimentSpec, statistic: str) -> ExperimentReport:
         raise ValueError("distributional checks need the stationary symmetric sub-case")
     sym = SymmetricBarParams(spec.model.a0, spec.model.sigma)
     x, x0, x1 = spec.point
+    if statistic == "p_hat":
+        truth = float(transition_density_p(spec.model, x, x0, x1))
+    else:
+        truth = float(mu_triangle(sym, x, x0, x1))
+    sigma2 = oracle.true_variance_clt(sym, x, x0, x1, statistic)
+    # deepest depths first, so a pool's last chunks are its cheapest
+    order = sorted(range(len(spec.n_list)), key=lambda i: spec.n_list[i], reverse=True)
+    tasks = [
+        (spec, spec.n_list[i], rep, statistic, truth, sigma2)
+        for i in order
+        for rep in range(spec.replications)
+    ]
+    if spec.threads > 1:
+        with ProcessPoolExecutor(max_workers=spec.threads) as pool:
+            results = list(pool.map(_clt_replication, tasks, chunksize=16))
+    else:
+        results = [_clt_replication(t) for t in tasks]
+    by_depth = {i: results[j * spec.replications : (j + 1) * spec.replications] for j, i in enumerate(order)}
     report = ExperimentReport(rows=[])
-    for n in spec.n_list:
-        if statistic == "p_hat":
-            truth = float(transition_density_p(spec.model, x, x0, x1))
-        else:
-            truth = float(mu_triangle(sym, x, x0, x1))
-        sigma2 = oracle.true_variance_clt(sym, x, x0, x1, statistic)
-        tasks = [(spec, n, rep, statistic, truth, sigma2) for rep in range(spec.replications)]
-        if spec.threads > 1:
-            with ProcessPoolExecutor(max_workers=spec.threads) as pool:
-                results = list(pool.map(_clt_replication, tasks, chunksize=16))
-        else:
-            results = [_clt_replication(t) for t in tasks]
-        results.sort(key=lambda r: r[0])
-        for rep, seed, n_, h_num, h_den, est, z in results:
+    for i, n in enumerate(spec.n_list):
+        depth_rows = by_depth[i]  # in replication order, as map returns them
+        for rep, seed, n_, h_num, h_den, est, z in depth_rows:
             report.rows.append(ReplicationRow(rep, seed, n_, h_num, h_den, est, z))
-        summary = summarize_stats(np.array([r[6] for r in results]))
+        summary = summarize_stats(np.array([r[6] for r in depth_rows]))
         summary.update(n=n, statistic=statistic, sigma2=sigma2, truth=truth)
         report.summaries.append(summary)
     return report

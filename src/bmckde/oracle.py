@@ -272,7 +272,7 @@ def moment_check_table(
     empirical mean, second moment, and mixed moment of the generation sums of
     f(y) = y and a Gaussian bump with the corresponding quadrature values.
     """
-    from .bar import InitSpec, simulate
+    from .bar import InitSpec, simulate_levels
     from .rng import derive_seed
 
     if not 0 <= m <= n <= 5:
@@ -284,18 +284,16 @@ def moment_check_table(
     f_id = grid_function(grid, lambda y: y)
     f_bump = grid_function(grid, gaussian_bump())
 
-    lvl_n = np.empty((replications, 1 << n))
-    lvl_m = np.empty((replications, 1 << m))
-    for r in range(replications):
-        tree = simulate(params, max(n - 1, 0), InitSpec.dirac(x), derive_seed(seed, r))
-        lvl_n[r], lvl_m[r] = tree.level(n), tree.level(m)
+    seeds = [derive_seed(seed, r) for r in range(replications)]
+    levels = simulate_levels(params, max(n - 1, 0), InitSpec.dirac(x), seeds)
     bump = gaussian_bump()
     arr = {
-        "id_n": np.sum(lvl_n, axis=1),
-        "bump_n": np.sum(bump(lvl_n), axis=1),
-        "id_m": np.sum(lvl_m, axis=1),
-        "bump_m": np.sum(bump(lvl_m), axis=1),
+        "id_n": np.sum(levels[n], axis=1),
+        "bump_n": np.sum(bump(levels[n]), axis=1),
+        "id_m": np.sum(levels[m], axis=1),
+        "bump_m": np.sum(bump(levels[m]), axis=1),
     }
+    del levels  # the trees are not needed during quadrature, which peaks in memory
 
     def row(name: str, samples: np.ndarray, target: float) -> MomentCheckRow:
         mean = float(np.mean(samples))

@@ -12,6 +12,7 @@ from bmckde.bar import (
     mu_triangle,
     q_density,
     simulate,
+    simulate_levels,
     stationary_mu,
     transition_density_p,
 )
@@ -112,6 +113,63 @@ def test_simulate_levels_equal_per_stream_reference_bitwise(params, init, seed):
         tree = simulate(params, n, init, seed)
         for k, expected in enumerate(reference_levels(params, n, init, seed)):
             assert tree.level(k).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "params,init",
+    [
+        (BarParams(0.5, 0.5), InitSpec.stationary()),
+        (BarParams(0.5, 0.5), InitSpec.dirac(0.75)),
+        (BarParams(0.7, 0.4, 0.3, -0.2, 1.3, 0.4), InitSpec.dirac(-1.0)),
+    ],
+)
+@pytest.mark.parametrize(
+    "seeds",
+    [
+        [derive_seed(5, 2), 3, (1 << 64) - 1, 0, derive_seed(5, 0)],  # out of order
+        [7, 12, 7, 7],  # repeated
+        [(1 << 63) + 5],  # single
+    ],
+)
+def test_simulate_levels_rows_equal_per_seed_simulate_bitwise(params, init, seeds):
+    for n in (0, 1, 5):
+        levels = simulate_levels(params, n, init, seeds)
+        assert len(levels) == n + 2
+        trees = [simulate(params, n, init, s) for s in seeds]
+        for k, lv in enumerate(levels):
+            assert lv.shape == (len(seeds), 1 << k)
+            for r, tree in enumerate(trees):
+                assert lv[r].tobytes() == tree.level(k).tobytes()
+
+
+def test_simulate_levels_rejects_no_seeds():
+    with pytest.raises(ValueError, match="at least one seed"):
+        simulate_levels(CASE1, 3, InitSpec.dirac(0.0), [])
+
+
+def test_simulate_levels_validates_before_drawing(monkeypatch):
+    import bmckde.bar
+
+    def no_draws(*args):
+        raise AssertionError("drew before validating")
+
+    monkeypatch.setattr(bmckde.bar, "philox_stream", no_draws)
+    monkeypatch.setattr(bmckde.bar, "rekey", no_draws)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        simulate_levels(CASE1, -1, InitSpec.dirac(0.0), [1, 2])
+    with pytest.raises(OverflowError):
+        simulate_levels(CASE1, 63, InitSpec.dirac(0.0), [1, 2])
+    with pytest.raises(ValueError, match="symmetric sub-case"):
+        simulate_levels(CASE1, 2, InitSpec.stationary(), [1, 2])
+
+
+@pytest.mark.parametrize("init", [InitSpec.dirac(0.0), InitSpec.stationary()])
+def test_float_seed_raises_type_error(init):
+    params = BarParams(0.5, 0.5)
+    with pytest.raises(TypeError):
+        simulate(params, 2, init, 2.0)
+    with pytest.raises(TypeError):
+        simulate_levels(params, 2, init, [1, 2.0])
 
 
 def test_correlated_noise_covariance():

@@ -86,6 +86,20 @@ def test_thread_pool_merges_identically():
     assert r1.summaries == r4.summaries
 
 
+def test_depths_merge_in_n_list_order_at_any_worker_count():
+    # one pool runs every depth, deepest first; rows come back per depth in
+    # n_list order, each depth's rows in replication order
+    n_list = (4, 6, 5)
+    r1 = run_clt_p_hat(small_spec(n_list=n_list, replications=5, threads=1))
+    r2 = run_clt_p_hat(small_spec(n_list=n_list, replications=5, threads=2))
+    assert r1.rows == r2.rows
+    assert r1.summaries == r2.summaries
+    assert [(r.n, r.replication) for r in r1.rows] == [(n, rep) for n in n_list for rep in range(5)]
+    singles = [run_clt_p_hat(small_spec(n_list=(n,), replications=5)) for n in n_list]
+    assert r1.rows == [row for s in singles for row in s.rows]
+    assert r1.summaries == [s.summaries[0] for s in singles]
+
+
 def test_rot_and_cv_selectors_run():
     rep = run_clt_p_hat(small_spec(selector=RotSelector(), replications=2, n_list=(6,)))
     assert all(r.h_den > 0 and r.h_num > 0 for r in rep.rows)

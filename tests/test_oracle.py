@@ -257,7 +257,7 @@ def test_moment_check_table_rejects_levels_before_simulating(monkeypatch, n, m):
     def no_simulation(*args):
         raise AssertionError("simulated before checking the levels")
 
-    monkeypatch.setattr(bmckde.bar, "simulate", no_simulation)
+    monkeypatch.setattr(bmckde.bar, "simulate_levels", no_simulation)
     with pytest.raises(ValueError, match="0 <= m <= n <= 5"):
         moment_check_table(SYM, x=0.5, n=n, m=m, replications=10, seed=0)
 
@@ -269,7 +269,7 @@ def test_moment_check_table_rejects_too_few_replications(monkeypatch, replicatio
     def no_simulation(*args):
         raise AssertionError("simulated before checking the replication count")
 
-    monkeypatch.setattr(bmckde.bar, "simulate", no_simulation)
+    monkeypatch.setattr(bmckde.bar, "simulate_levels", no_simulation)
     with pytest.raises(ValueError, match="at least 2 replications"):
         moment_check_table(SYM, x=0.5, n=3, m=2, replications=replications, seed=0)
 
