@@ -6,13 +6,19 @@ binning or FFT shortcuts, done by one primitive over a tensor grid of
 evaluation points.  It keeps the daughter axes' kernel rows whole and forms
 the products in two reused cache-sized buffers; every value is still one
 contiguous sum over the sample.  The scalar estimators are one-point grids,
-so grid evaluations agree bitwise with scalar calls by construction.
+so grid evaluations agree bitwise with scalar calls by construction.  A grid
+of more than one block is split across one thread per CPU the process may
+use, each thread with its own buffers, and gives the same bits at any thread
+count; calls inside a ``multiprocessing`` worker stay on one thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing import parent_process
 from typing import Any
 
 import numpy as np
@@ -25,54 +31,99 @@ from .tree import Population, TreeSample
 # than exact zero.
 DENOMINATOR_FLOOR = 1e-300
 
-_BLOCK_ENTRIES = 1 << 16  # doubles per scratch buffer (512 KB): a block's three buffers fit a 2 MB L2
+# doubles per scratch buffer (512 KB); each worker thread owns its two, and with
+# its kernel-row block a worker's three buffers fit a 2 MB L2
+_BLOCK_ENTRIES = 1 << 16
+# worker threads per grid call; results are bitwise the same at any count
+_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _runs(units, count):
+    """``units`` cut into ``count`` contiguous runs of near-equal length."""
+    bounds = [len(units) * i // count for i in range(count + 1)]
+    return [units[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _kernel_sums(columns, bandwidths, axes) -> np.ndarray:
     """Normalized product-kernel sums at every point of the tensor grid of ``axes``.
 
-    ``axes`` is (x,) or (x, x0, x1).  Coordinate j of a grid point a contributes
-    K0((a_j - columns[j]) / bandwidths[j]) per sample member; the value is the
-    sum over the sample of the product of those factors, divided by N times the
-    bandwidths.  Values come flattened in C order (first axis slowest).  The x0
-    and x1 kernel rows are kept whole, the x rows computed in blocks.  The
-    products ``k0 * k1`` of one x0 row with a chunk of x1 rows (the whole axis,
-    for several x0 rows, when it fits) go into a reused buffer, and each x row
-    is multiplied into a second one and summed.  Every value is the contiguous
-    row sum of ``kx * (k0 * k1)``, so any grid agrees bitwise with one-point
-    grids.  Buffers hold at most ``_BLOCK_ENTRIES`` entries, or one row if it
-    is longer.
+    ``axes`` is (x,) or (x, x0, x1), each 1-D and finite.  Coordinate j of a
+    grid point a contributes K0((a_j - columns[j]) / bandwidths[j]) per sample
+    member; the value is the sum over the sample of the product of those
+    factors, divided by N times the bandwidths.  Values come flattened in C
+    order (first axis slowest).  The x0 and x1 kernel rows are kept whole, the
+    x rows computed in blocks.  The products ``k0 * k1`` of one x0 row with a
+    chunk of x1 rows (the whole axis, for several x0 rows, when it fits) go
+    into a reused buffer, and each x row is multiplied into a second one and
+    summed.  Every value is the contiguous row sum of ``kx * (k0 * k1)``, so
+    any grid agrees bitwise with one-point grids.  Buffers hold at most
+    ``_BLOCK_ENTRIES`` entries, or one row if it is longer.
+
+    The kernel-row blocks, then the (x block, x0 rows, x1 chunk) product
+    blocks, are cut into contiguous runs, one per thread of a pool that lives
+    for this call only; each block is computed exactly as on one thread, into
+    its own slice of the result, so the values do not depend on the thread
+    count.  One-block calls (every scalar estimate) and calls inside a
+    ``multiprocessing`` worker run on the calling thread.
     """
     for h in bandwidths:
         if not (h > 0 and math.isfinite(h)):
             raise ValueError("bandwidth must be positive and finite")
+    for ax in axes:
+        if ax.ndim != 1 or not np.all(np.isfinite(ax)):
+            raise ValueError("grid axes must be 1-D and finite")
     size = columns[0].size
     if size == 0:
         raise ValueError("empty index set")
     step = max(1, _BLOCK_ENTRIES // size)  # kernel rows per buffer
     trailing = [np.empty((ax.size, size)) for ax in axes[1:]]
-    for rows, ax, col, h in zip(trailing, axes[1:], columns[1:], bandwidths[1:]):
-        for i in range(0, ax.size, step):
-            rows[i : i + step] = GAUSSIAN((ax[i : i + step, None] - col[None, :]) / h)
+    row_blocks = [
+        (rows[i : i + step], ax[i : i + step], col, h)
+        for rows, ax, col, h in zip(trailing, axes[1:], columns[1:], bandwidths[1:])
+        for i in range(0, ax.size, step)
+    ]
     out = np.empty((axes[0].size, math.prod(ax.size for ax in axes[1:])))
+    lead_blocks = range(0, axes[0].size, step)
     if trailing:
         k0, k1 = trailing
         chunk = min(step, len(k1))
         group = min(len(k0), max(1, step // len(k1)))  # x0 rows per block
-        tail, prod = np.empty((2, group * chunk, size))
-    for a0 in range(0, axes[0].size, step):
-        lead = GAUSSIAN((axes[0][a0 : a0 + step, None] - columns[0][None, :]) / bandwidths[0])
-        if not trailing:
-            out[a0 : a0 + step, 0] = np.sum(lead, axis=-1)
-            continue
-        for i0 in range(0, len(k0), group):
-            for i1 in range(0, len(k1), chunk):
-                r0, r1 = k0[i0 : i0 + group, None], k1[i1 : i1 + chunk]
-                block, scratch = tail[: len(r0) * len(r1)], prod[: len(r0) * len(r1)]
-                np.multiply(r0, r1, out=block.reshape(len(r0), len(r1), size))
-                t0 = i0 * len(k1) + i1
-                for i, row in enumerate(lead):
-                    out[a0 + i, t0 : t0 + len(block)] = np.sum(np.multiply(row, block, out=scratch), axis=-1)
+        blocks = [
+            (a0, i0, i1) for a0 in lead_blocks for i0 in range(0, len(k0), group) for i1 in range(0, len(k1), chunk)
+        ]
+    else:
+        blocks = [(a0, 0, 0) for a0 in lead_blocks]
+
+    def fill_rows(run):
+        for rows, ax, col, h in run:
+            rows[...] = GAUSSIAN((ax[:, None] - col[None, :]) / h)
+
+    def fill_products(run):
+        if trailing:
+            tail, prod = np.empty((2, group * chunk, size))
+        lead_at = None  # x block whose kernel rows `lead` holds; a run may start mid-block
+        for a0, i0, i1 in run:
+            if a0 != lead_at:
+                lead = GAUSSIAN((axes[0][a0 : a0 + step, None] - columns[0][None, :]) / bandwidths[0])
+                lead_at = a0
+            if not trailing:
+                out[a0 : a0 + step, 0] = np.sum(lead, axis=-1)
+                continue
+            r0, r1 = k0[i0 : i0 + group, None], k1[i1 : i1 + chunk]
+            block, scratch = tail[: len(r0) * len(r1)], prod[: len(r0) * len(r1)]
+            np.multiply(r0, r1, out=block.reshape(len(r0), len(r1), size))
+            t0 = i0 * len(k1) + i1
+            for i, row in enumerate(lead):
+                out[a0 + i, t0 : t0 + len(block)] = np.sum(np.multiply(row, block, out=scratch), axis=-1)
+
+    threads = min(_THREADS, len(blocks))
+    if threads <= 1 or parent_process() is not None:
+        fill_rows(row_blocks)
+        fill_products(blocks)
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(fill_rows, _runs(row_blocks, threads)))
+            list(pool.map(fill_products, _runs(blocks, threads)))
     norm = size
     for h in bandwidths:
         norm = norm * h

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -29,7 +30,7 @@ def test_simulate_roundtrips_exactly(tmp_path):
     direct = simulate(BarParams(0.5, 0.5), 4, InitSpec.dirac(0.0), 9)
     assert loaded == direct
     # sidecar with resolved defaults; the output extension alone picks the format
-    side = json.load(open(out + ".config.json"))
+    side = json.loads(Path(out + ".config.json").read_text())
     assert side["rho"] == 0.0 and "format" not in side
     raw_key = write_config(tmp_path, "raw.json", {**SIM, "format": "raw"})
     assert main(["simulate", "--config", raw_key, "--out", out]) == 1
@@ -51,7 +52,7 @@ def test_seed_flag_overrides_config(tmp_path):
 
 def test_malformed_json_exit_code_and_message(tmp_path, capsys):
     path = str(tmp_path / "bad.json")
-    open(path, "w").write('{"a0": 0.5,\n  "oops"\n}')
+    Path(path).write_text('{"a0": 0.5,\n  "oops"\n}')
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 1
     err = capsys.readouterr().err
     assert "bad.json:3:" in err and "malformed JSON" in err  # line-numbered
@@ -86,7 +87,7 @@ def test_estimate_roundtrip_matches_direct_call(tmp_path):
     )
     out = str(tmp_path / "mu.csv")
     assert main(["estimate", "--tree", tree_path, "--config", est_cfg, "--out", out]) == 0
-    rows = [line.split(",") for line in open(out).read().strip().split("\n")[1:]]
+    rows = [line.split(",") for line in Path(out).read_text().strip().split("\n")[1:]]
     tree = TreeSample.from_csv(tree_path)
     for x_s, v_s in rows:
         assert float(v_s) == mu_hat(tree, Population.GEN_N, 0.4, float(x_s))
@@ -108,7 +109,7 @@ def test_estimate_p_on_3d_grid(tmp_path):
     )
     out = str(tmp_path / "p.csv")
     assert main(["estimate", "--tree", tree_path, "--config", est_cfg, "--out", out]) == 0
-    rows = open(out).read().strip().split("\n")
+    rows = Path(out).read_text().strip().split("\n")
     assert rows[0] == "x,x0,x1,value"
     assert len(rows) == 7  # 1 * 3 * 2 points
 
@@ -120,10 +121,10 @@ def test_cv_select_outputs(tmp_path):
     cv_cfg = write_config(tmp_path, "cv.json", {"K": 3, "grid": {"min": 0.1, "max": 1.0, "num": 5}, "seed": 2})
     out = str(tmp_path / "scores.csv")
     assert main(["cv-select", "--tree", tree_path, "--config", cv_cfg, "--out", out]) == 0
-    lines = open(out).read().strip().split("\n")
+    lines = Path(out).read_text().strip().split("\n")
     assert lines[0] == "h,score_den,score_num"
     assert len(lines) == 6
-    sel = json.load(open(str(tmp_path / "scores.json")))
+    sel = json.loads((tmp_path / "scores.json").read_text())
     assert set(sel) == {"h_D_hat", "h_N_hat", "K", "seed"}
     hs = [float(l.split(",")[0]) for l in lines[1:]]
     assert sel["h_D_hat"] in hs
@@ -155,8 +156,8 @@ def test_clt_check_summary_matches_rows(tmp_path):
     )
     out = str(tmp_path / "rows.csv")
     assert main(["clt-check", "--config", cfg, "--out", out]) == 0
-    stats = [float(line.split(",")[-1]) for line in open(out).read().strip().split("\n")[1:]]
-    summary = json.load(open(str(tmp_path / "rows.summary.json")))[0]
+    stats = [float(line.split(",")[-1]) for line in Path(out).read_text().strip().split("\n")[1:]]
+    summary = json.loads((tmp_path / "rows.summary.json").read_text())[0]
     assert summary["variance"] == pytest.approx(float(np.var(stats, ddof=1)), rel=1e-12)
     assert summary["mean"] == pytest.approx(float(np.mean(stats)), rel=1e-12)
 
@@ -173,7 +174,7 @@ def test_clt_check_thread_counts_bit_identical(tmp_path):
         cpath = write_config(tmp_path, f"clt{threads}.json", {**cfg, "threads": threads})
         out = str(tmp_path / f"rows{threads}.csv")
         assert main(["clt-check", "--config", cpath, "--out", out]) == 0
-        outputs.append(open(out, "rb").read())
+        outputs.append(Path(out).read_bytes())
     assert outputs[0] == outputs[1]
 
 
@@ -219,9 +220,9 @@ def test_threads_flag_overrides_config_and_is_validated(tmp_path, monkeypatch):
     out = str(tmp_path / "rows.csv")
     monkeypatch.setenv("BMC_KERNEL_THREADS", "not-a-number")  # the environment does not size the pool
     assert main(["clt-check", "--config", cfg, "--out", out]) == 0
-    assert json.load(open(out + ".config.json"))["threads"] == 2
+    assert json.loads(Path(out + ".config.json").read_text())["threads"] == 2
     assert main(["clt-check", "--config", cfg, "--out", out, "--threads", "1"]) == 0
-    assert json.load(open(out + ".config.json"))["threads"] == 1
+    assert json.loads(Path(out + ".config.json").read_text())["threads"] == 1
     for bad in ("0", "-3"):  # flag values are checked against the schema like config values
         assert main(["clt-check", "--config", cfg, "--out", out, "--threads", bad]) == 1
 
@@ -274,7 +275,7 @@ def test_estimate_writes_meta_next_to_output(tmp_path):
     out_dir.mkdir()
     assert main(["estimate", "--tree", tree_path, "--config", est_cfg, "--out", str(out_dir / "phat.csv")]) == 0
     assert sorted(os.listdir(out_dir)) == ["phat.csv", "phat.csv.config.json", "phat.csv.meta.json"]
-    meta = json.load(open(out_dir / "phat.csv.meta.json"))
+    meta = json.loads((out_dir / "phat.csv.meta.json").read_text())
     assert meta["estimator"] == "mu" and meta["h"] == 0.3 and meta["sample_size"] == 16
 
 
@@ -380,7 +381,7 @@ def _run_into(out_dir, command, config, tree, capsys):
     for root, _, names in os.walk(out_dir):
         for name in names:
             path = os.path.join(root, name)
-            files[os.path.relpath(path, out_dir)] = open(path, "rb").read()
+            files[os.path.relpath(path, out_dir)] = Path(path).read_bytes()
     return code, capsys.readouterr().out, files
 
 
@@ -409,6 +410,7 @@ def test_sidecar_holds_every_default_and_reruns_the_command(tmp_path, capsys, co
 # -- every invalid-config class exits 1 and writes nothing ---------------------
 
 NAN = float("nan")
+INF = float("inf")
 CLT_MIN = {"model": CLT_MODEL, "n_list": [4], "replications": 4}
 MU = {"estimator": "mu", "h": 0.3, "grid": [0.0]}
 
@@ -417,6 +419,15 @@ INVALID = {
     "unknown key": ("simulate", {**SIM, "bogus": 1}, None, []),
     "malformed JSON": ("simulate", '{"a0": 0.5,\n  "oops"\n}', None, []),
     "NaN h": ("estimate", {**MU, "h": NAN}, None, []),
+    # grid points are judged by the estimator: JSON admits NaN and Infinity
+    "NaN grid point": (
+        "estimate",
+        {"estimator": "mu_tri", "bw": [0.3, 0.3, 0.3], "grid": {"x": [NAN], "x0": [0.0], "x1": [0.0]}},
+        None,
+        [],
+    ),
+    "NaN axis max": ("estimate", {**MU, "grid": {"min": 0.0, "max": NAN, "num": 3}}, None, []),
+    "infinite grid point": ("estimate", {**MU, "grid": [INF, 0.0]}, None, []),
     "NaN CV grid": ("cv-select", {"K": 2, "grid": [NAN]}, None, []),
     "oracle m > n": ("oracle-check", {"n": 2, "m": 4}, None, []),
     "threads 0": ("clt-check", CLT_MIN, None, ["--threads", "0"]),
@@ -477,8 +488,8 @@ def test_invalid_config_exits_1_and_writes_nothing(tmp_path, capsys, case):
     tree = str(tmp_path / "tree.csv")
     simulate(BarParams(0.5, 0.5), 3, InitSpec.dirac(0.0), 1).to_csv(tree)
     if edit_tree:
-        lines = open(tree).read().splitlines()
-        open(tree, "w").write("\n".join(edit_tree(lines)) + "\n")
+        lines = Path(tree).read_text().splitlines()
+        Path(tree).write_text("\n".join(edit_tree(lines)) + "\n")
     config = str(tmp_path / "cfg.json")
     with open(config, "w") as fh:
         fh.write(doc if isinstance(doc, str) else json.dumps(doc))

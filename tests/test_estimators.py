@@ -1,5 +1,11 @@
 import math
+import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -263,7 +269,7 @@ def test_density_estimate_csv(tmp_path):
     est = evaluate_on_grid(s, EstimatorSpec(kind="mu", population=Population.GEN_N, h=0.3), np.linspace(-1, 1, 5))
     path = str(tmp_path / "est.csv")
     est.to_csv(path)
-    rows = open(path).read().strip().split("\n")
+    rows = Path(path).read_text().strip().split("\n")
     assert rows[0] == "x,value"
     assert len(rows) == 6
     assert sorted(p.name for p in tmp_path.iterdir()) == ["est.csv"]
@@ -295,6 +301,43 @@ def test_bad_bandwidth_rejected_by_grid_and_scalar_calls(h):
         evaluate_on_grid(s, EstimatorSpec(kind="mu", h=h), ax)
     with pytest.raises(ValueError):
         evaluate_on_grid(s, EstimatorSpec(kind="p", h=h, bw=bw), (ax, ax, ax))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_nonfinite_grid_point_rejected_by_grid_and_scalar_calls(axis, bad):
+    s = simulate(BarParams(0.7, 0.5), 3, InitSpec.dirac(0.0), 2)
+    bw = BandwidthTriple.scalar(0.3)
+    point = [0.0, 0.0, 0.0]
+    point[axis] = bad
+    axes = [np.array([0.0, 0.5])] * 3
+    axes[axis] = np.array([bad, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        mu_tri_hat(s, Population.GEN_N, bw, *point)
+    with pytest.raises(ValueError, match="finite"):
+        p_hat(s, Population.GEN_N, bw, 0.3, *point)
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_on_grid(s, EstimatorSpec(kind="mu_tri", bw=bw), tuple(axes))
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_on_grid(s, EstimatorSpec(kind="p", h=0.3, bw=bw), tuple(axes))
+    if axis == 0:
+        with pytest.raises(ValueError, match="finite"):
+            mu_hat(s, Population.GEN_N, 0.3, bad)
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_on_grid(s, EstimatorSpec(kind="mu", h=0.3), axes[0])
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_two_dimensional_axis_rejected(axis):
+    s = simulate(BarParams(0.7, 0.5), 3, InitSpec.dirac(0.0), 2)
+    bw = BandwidthTriple.scalar(0.3)
+    axes = [np.array([0.0, 0.5])] * 3
+    axes[axis] = np.zeros((2, 2))
+    with pytest.raises(ValueError, match="1-D"):
+        evaluate_on_grid(s, EstimatorSpec(kind="p", h=0.3, bw=bw), tuple(axes))
+    if axis == 0:
+        with pytest.raises(ValueError, match="1-D"):
+            evaluate_on_grid(s, EstimatorSpec(kind="mu", h=0.3), axes[0])
 
 
 _axis_values = st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.4, 2.0]) | st.floats(-4, 4), min_size=1, max_size=4)
@@ -356,9 +399,92 @@ def test_grid_values_equal_naive_formula_bitwise(population, rows):
     assert p.values.tobytes() == np.array(quotient).tobytes()
 
 
+def _grids(population, block):
+    # mu, mu_tri and p values on 6 x 3 x 5 axes over a depth-6 tree, with at
+    # most `block` entries per scratch buffer
+    s = simulate(BarParams(0.7, 0.5), 6, InitSpec.dirac(0.0), 13)
+    axes = (np.linspace(-2, 2, 6), np.array([-0.5, 0.0, 1.2]), np.linspace(-3, 3, 5))
+    bw = BandwidthTriple(0.3, 0.25, 0.4)
+    with mock.patch.object(estimators, "_BLOCK_ENTRIES", block):
+        mu = evaluate_on_grid(s, EstimatorSpec("mu", population, h=0.35), axes[0])
+        tri = evaluate_on_grid(s, EstimatorSpec("mu_tri", population, bw=bw), axes)
+        p = evaluate_on_grid(s, EstimatorSpec("p", population, h=0.35, bw=bw), axes)
+    return mu.values.tobytes(), tri.values.tobytes(), p.values.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 3, 12])
+def test_grid_values_do_not_depend_on_thread_count(rows):
+    # 64 triangles in generation 6: with 1, 3 and 12 kernel rows per buffer
+    # there are 90, 12 and 2 product blocks, so runs of 2, 3 and 8 threads come
+    # out ragged and cross x-block boundaries; 8 threads is more than the cores
+    results = {}
+    interval = sys.getswitchinterval()
+    start = time.perf_counter()
+    try:
+        sys.setswitchinterval(1e-6)
+        for threads in (1, 2, 3, 8):
+            with mock.patch.object(estimators, "_THREADS", threads):
+                for population in Population:
+                    results[threads, population] = _grids(population, rows * 64)
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.perf_counter() - start < 60
+    for (threads, population), values in results.items():
+        assert values == results[1, population], (threads, population)
+
+
+class _NoExecutor:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+
+def test_one_block_calls_run_on_the_calling_thread():
+    s = simulate(BarParams(0.7, 0.5), 8, InitSpec.dirac(0.0), 4)
+    bw = BandwidthTriple(0.3, 0.25, 0.4)
+    with mock.patch.object(estimators, "_THREADS", 8), mock.patch.object(estimators, "ThreadPoolExecutor", _NoExecutor):
+        for population in Population:
+            mu_hat(s, population, 0.3, 0.1)
+            mu_tri_hat(s, population, bw, 0.1, -0.2, 0.3)
+            p_hat(s, population, bw, 0.3, 0.1, -0.2, 0.3)
+
+
+def _grids_in_child(block):
+    with mock.patch.object(estimators, "_THREADS", 8), mock.patch.object(estimators, "ThreadPoolExecutor", _NoExecutor):
+        return _grids(Population.TREE_N, block)
+
+
+def test_calls_in_a_multiprocessing_child_run_on_the_calling_thread():
+    block = 3 * 127  # 3 kernel rows of the whole depth-6 tree: 12 product blocks
+    with mock.patch.object(estimators, "_THREADS", 1):
+        expected = _grids(Population.TREE_N, block)
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        assert pool.submit(_grids_in_child, block).result(timeout=120) == expected
+
+
+def test_threaded_call_leaves_no_thread_running():
+    s = simulate(BarParams(0.7, 0.5), 6, InitSpec.dirac(0.0), 13)
+    ax = np.linspace(-2, 2, 7)
+    built = []
+
+    class Spy(estimators.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    before = threading.active_count()
+    with (
+        mock.patch.object(estimators, "_THREADS", 4),
+        mock.patch.object(estimators, "_BLOCK_ENTRIES", 64),
+        mock.patch.object(estimators, "ThreadPoolExecutor", Spy),
+    ):
+        evaluate_on_grid(s, EstimatorSpec("mu_tri", bw=BandwidthTriple.scalar(0.3)), (ax, ax, ax))
+    assert built == [(4,)]
+    assert threading.active_count() == before
+
+
 def test_grid_scratch_memory_is_two_kernel_row_matrices():
-    # depth-14 41x41 slice: the x0 and x1 kernel rows (41 x 2^14 doubles,
-    # 5.1 MiB each) are kept whole, every other buffer holds at most
+    # depth-14 41x41 slice on two threads: the x0 and x1 kernel rows (41 x 2^14
+    # doubles, 5.1 MiB each) are kept whole, every other buffer holds at most
     # _BLOCK_ENTRIES doubles, so blocks of tens of MiB break the bound
     n = 14
     s = simulate(BarParams(1.2, 0.7), n, InitSpec.dirac(0.0), 7)
@@ -367,7 +493,8 @@ def test_grid_scratch_memory_is_two_kernel_row_matrices():
     kernel_rows = ax.size * (1 << n) * 8
     tracemalloc.start()
     try:
-        est = evaluate_on_grid(s, spec, (np.array([0.0]), ax, ax))
+        with mock.patch.object(estimators, "_THREADS", 2):
+            est = evaluate_on_grid(s, spec, (np.array([0.0]), ax, ax))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -130,7 +132,7 @@ def test_report_csv_roundtrip(tmp_path):
     rep = run_clt_p_hat(small_spec(replications=3))
     path = str(tmp_path / "rows.csv")
     rep.to_csv(path)
-    rows = open(path).read().strip().split("\n")
+    rows = Path(path).read_text().strip().split("\n")
     assert rows[0].startswith("replication,seed,n,")
     assert len(rows) == 4
     stat = float(rows[1].split(",")[-1])
@@ -160,11 +162,11 @@ def test_figure_runs_shape_and_truth_column(tmp_path):
 
     paths = write_figure_outputs(runs, str(tmp_path))
     assert any(p.endswith("summary.csv") for p in paths)
-    first = open(paths[0]).read().strip().split("\n")
+    first = Path(paths[0]).read_text().strip().split("\n")
     assert first[0] == "x,x0,x1,p_tilde,p_true"
     assert len(first) == 50
     gp = gnuplot_script(runs, str(tmp_path))
-    assert "splot" in open(gp).read()
+    assert "splot" in Path(gp).read_text()
 
 
 def test_figure_reproduction_deterministic():

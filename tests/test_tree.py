@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,9 +110,9 @@ def test_file_round_trips_keep_every_bit(tmp_path_factory, sample):
 def test_csv_rejects_duplicate_rows_and_nonfinite_values(tmp_path):
     path = str(tmp_path / "tree.csv")
     make_sample(2, seed=5).to_csv(path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     for bad in (lines + ["2,1,0.25"], lines[:-1] + ["3,7,nan"], lines[:-1] + ["3,7,-inf"]):
-        open(path, "w").write("\n".join(bad) + "\n")
+        Path(path).write_text("\n".join(bad) + "\n")
         with pytest.raises(ValueError):
             TreeSample.from_csv(path)
 
