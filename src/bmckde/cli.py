@@ -36,12 +36,14 @@ from .harness import (
     FigureGrid,
     FixedGamma,
     RotSelector,
+    atomic_write,
     gnuplot_script,
     mean_sup_errors,
     run_clt_mu_tri,
     run_clt_p_hat,
     run_figure_reproduction,
     write_figure_outputs,
+    write_text,
 )
 from .oracle import moment_check_table
 from .rot import DEFAULT_LAG, rot_select
@@ -289,28 +291,8 @@ def load_config(args, command: str) -> dict:
     raise ConfigError(f"{path or '<empty config>'}: at {where}: {e.message}")
 
 
-def atomic_write(path: str, write_fn) -> None:
-    """Run write_fn against a temp file, then rename into place."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_text(path: str, text: str) -> None:
-    def write(tmp: str) -> None:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(text)
-
-    atomic_write(path, write)
-
-
 def _write_json(path: str, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _axis(spec) -> np.ndarray:
@@ -372,7 +354,7 @@ def _cmd_cv_select(args, cfg: dict) -> int:
     if "grid" not in cfg:  # the default candidates depend on the tree's depth
         cfg["grid"] = res.grid.tolist()
     rows = (f"{float(h)!r},{float(sd)!r},{float(sn)!r}\n" for h, sd, sn in zip(res.grid, res.scores_den, res.scores_num))
-    _write_text(args.out, "h,score_den,score_num\n" + "".join(rows))
+    write_text(args.out, "h,score_den,score_num\n" + "".join(rows))
     selection = {"h_D_hat": res.h_d_hat, "h_N_hat": res.h_n_hat, "K": res.K, "seed": res.seed}
     _write_json(os.path.splitext(args.out)[0] + ".json", selection)
     return 0
@@ -423,7 +405,7 @@ def _cmd_oracle_check(args, cfg: dict) -> int:
         w.writerow([r.formula, repr(r.mc_estimate), repr(r.mc_se), repr(r.quadrature), repr(r.z_score), "pass" if r.passed else "FAIL"])
     print(buf.getvalue(), end="")
     if args.out:
-        _write_text(args.out, buf.getvalue())
+        write_text(args.out, buf.getvalue())
     return 0 if all(r.passed for r in rows) else 2
 
 

@@ -130,9 +130,14 @@ def _kernel_sums(columns, bandwidths, axes) -> np.ndarray:
     return out.ravel() / norm
 
 
+def _quotient(num, den):
+    """num / den, and 0 where the denominator underflows (below DENOMINATOR_FLOOR)."""
+    return np.where(den < DENOMINATOR_FLOOR, 0.0, num / np.maximum(den, DENOMINATOR_FLOOR))
+
+
 def mu_hat(sample: TreeSample, population: Population, h: float, x: float) -> float:
     """Kernel estimate of the invariant density at x: (1/(N h)) sum K0((x - X_u)/h)."""
-    vals = sample.population_parents(population)
+    vals = sample.triangle_arrays(population)[0]
     return float(_kernel_sums((vals,), (h,), (np.array([x], dtype=float),))[0])
 
 
@@ -165,9 +170,7 @@ def p_hat(
     """Quotient estimate of the transition density, numerator and denominator
     smoothed with their own bandwidths; 0 when the denominator underflows."""
     den = mu_hat(sample, population, h_den, x)
-    if den < DENOMINATOR_FLOOR:
-        return 0.0
-    return mu_tri_hat(sample, population, bw_num, x, x0, x1) / den
+    return float(_quotient(mu_tri_hat(sample, population, bw_num, x, x0, x1), den))
 
 
 @dataclass
@@ -233,7 +236,7 @@ def evaluate_on_grid(sample: TreeSample, spec: EstimatorSpec, grid) -> DensityEs
         xs = np.atleast_1d(np.asarray(grid, dtype=float))
         if xs.size == 0:
             raise ValueError("empty grid")
-        vals = sample.population_parents(spec.population)
+        vals = sample.triangle_arrays(spec.population)[0]
         meta.update(h=spec.h, sample_size=int(vals.size))
         return DensityEstimate(xs, _kernel_sums((vals,), (spec.h,), (xs,)), meta)
 
@@ -249,6 +252,5 @@ def evaluate_on_grid(sample: TreeSample, spec: EstimatorSpec, grid) -> DensityEs
     if spec.kind == "p":
         meta.update(h_den=spec.h)
         den = _kernel_sums((columns[0],), (spec.h,), axes[:1])[:, None]
-        values = values.reshape(den.size, -1)
-        values = np.where(den < DENOMINATOR_FLOOR, 0.0, values / np.where(den == 0, 1.0, den)).ravel()
+        values = _quotient(values.reshape(den.size, -1), den).ravel()
     return DensityEstimate(product_points(*axes), values, meta)

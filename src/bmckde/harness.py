@@ -8,6 +8,7 @@ across worker-pool sizes; merging is by replication index.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +25,7 @@ from .kernels import BandwidthTriple
 from .rng import derive_seed
 from .rot import rot_select
 from .tree import Population, tree_size
-from . import oracle
+from . import estimators, oracle
 
 CASE1 = BarParams(0.7, 0.5, 0.0, 0.0, 1.0, 0.0)
 CASE2 = BarParams(1.2, 0.7, 0.0, 0.0, 1.0, 0.0)  # supercritical first branch
@@ -172,8 +173,11 @@ def _run_clt(spec: ExperimentSpec, statistic: str) -> ExperimentReport:
         for i in order
         for rep in range(spec.replications)
     ]
-    if spec.threads > 1:
-        with ProcessPoolExecutor(max_workers=spec.threads) as pool:
+    # outputs are the same at any pool size, so more workers than tasks or
+    # than CPUs the process may use would only cost start-up
+    workers = min(spec.threads, len(tasks), estimators._THREADS)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_clt_replication, tasks, chunksize=16))
     else:
         results = [_clt_replication(t) for t in tasks]
@@ -217,6 +221,8 @@ class FigureGrid:
 
 @dataclass
 class FigureRun:
+    """One (depth, seed) run of ``run_figure_reproduction``."""
+
     case: str
     selector: str
     n: int
@@ -228,6 +234,16 @@ class FigureRun:
     points: np.ndarray
     p_tilde: np.ndarray
     p_true: np.ndarray
+
+    @property
+    def file_name(self) -> str:
+        return f"grid_case{self.case}_{self.selector}_n{self.n}_s{self.seed_index}.csv"
+
+    def to_csv(self, path: str) -> None:
+        with open(path, "w", newline="") as fh:
+            fh.write("x,x0,x1,p_tilde,p_true\n")
+            for pt, pe, pt_true in zip(self.points, self.p_tilde, self.p_true):
+                fh.write(f"{float(pt[0])!r},{float(pt[1])!r},{float(pt[2])!r},{float(pe)!r},{float(pt_true)!r}\n")
 
 
 def case_params(case: str) -> BarParams:
@@ -292,29 +308,43 @@ def mean_sup_errors(runs: list[FigureRun]) -> dict[int, float]:
     return {n: float(np.mean(v)) for n, v in sorted(by_n.items())}
 
 
+def atomic_write(path: str, write_fn) -> None:
+    """Run write_fn against a temp file, then rename into place."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        write_fn(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_text(path: str, text: str) -> None:
+    def write(tmp: str) -> None:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+
+    atomic_write(path, write)
+
+
 def write_figure_outputs(runs: list[FigureRun], out_dir: str) -> list[str]:
-    """Grid CSV per run plus one summary CSV; returns the paths written."""
+    """Grid CSV per run plus one summary CSV, each written atomically; returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for r in runs:
-        path = os.path.join(out_dir, f"grid_case{r.case}_{r.selector}_n{r.n}_s{r.seed_index}.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write("x,x0,x1,p_tilde,p_true\n")
-            for pt, pe, pt_true in zip(r.points, r.p_tilde, r.p_true):
-                fh.write(
-                    f"{float(pt[0])!r},{float(pt[1])!r},{float(pt[2])!r},{float(pe)!r},{float(pt_true)!r}\n"
-                )
-        paths.append(path)
-    spath = os.path.join(out_dir, "summary.csv")
-    with open(spath, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["case", "selector", "n", "seed_index", "seed", "h_num", "h_0num", "h_1num", "h_den", "sup_error"])
-        for r in runs:
-            w.writerow(
-                [r.case, r.selector, r.n, r.seed_index, r.seed]
-                + [repr(v) for v in (*r.h_num, r.h_den, r.sup_error)]
-            )
-    paths.append(spath)
+        paths.append(os.path.join(out_dir, r.file_name))
+        atomic_write(paths[-1], r.to_csv)
+
+    summary = io.StringIO()
+    w = csv.writer(summary, lineterminator="\n")
+    w.writerow(["case", "selector", "n", "seed_index", "seed", "h_num", "h_0num", "h_1num", "h_den", "sup_error"])
+    for r in runs:
+        w.writerow(
+            [r.case, r.selector, r.n, r.seed_index, r.seed] + [repr(v) for v in (*r.h_num, r.h_den, r.sup_error)]
+        )
+    paths.append(os.path.join(out_dir, "summary.csv"))
+    write_text(paths[-1], summary.getvalue())
     return paths
 
 
@@ -324,15 +354,12 @@ def gnuplot_script(runs: list[FigureRun], out_dir: str) -> str:
     for r in runs:
         side = np.unique(r.points[:, 1]).size
         lines.append(f"set dgrid3d {side},{side}")
-        fname = f"grid_case{r.case}_{r.selector}_n{r.n}_s{r.seed_index}.csv"
         lines += [
             f'set title "case {r.case} {r.selector} n={r.n} seed {r.seed_index}"',
-            f'splot "{fname}" using 2:3:4 with lines title "estimate", \\',
-            f'      "{fname}" using 2:3:5 with lines title "truth"',
+            f'splot "{r.file_name}" using 2:3:4 with lines title "estimate", \\',
+            f'      "{r.file_name}" using 2:3:5 with lines title "truth"',
             "pause -1",
         ]
     path = os.path.join(out_dir, "surfaces.gnuplot")
-    with open(path, "w") as fh:
-        fh.write("set datafile separator ','\n")
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "set datafile separator ','\n" + "\n".join(lines) + "\n")
     return path

@@ -21,7 +21,6 @@ from scipy.special import ndtr
 
 from .bar import BarParams, SymmetricBarParams, mu_triangle, stationary_mu, transition_density_p
 from .kernels import L2_NORM_SQ_CUBED
-from .tree import Population
 
 GH_NODES = 64  # per Gaussian component; spectral accuracy for smooth integrands
 GRID_NODES = 512
@@ -56,7 +55,7 @@ class GridFunction:
         return GridFunction(self.nodes, fn(self.values), self.tail_warning)
 
 
-def default_grid(params: BarParams, half_width: float | None = None) -> np.ndarray:
+def default_grid(params: BarParams) -> np.ndarray:
     """Evaluation grid wide enough that Gaussian tails at the edge are negligible.
 
     Wide enough for one-step kernels from every grid node to keep their tail
@@ -64,14 +63,13 @@ def default_grid(params: BarParams, half_width: float | None = None) -> np.ndarr
     branch (max |a| >= 1) edge nodes necessarily leak and results carry the
     tail warning.
     """
-    if half_width is None:
-        a_max = max(abs(params.a0), abs(params.a1))
-        m2 = 0.5 * (params.a0**2 + params.a1**2)
-        sd = params.sigma / math.sqrt(1.0 - m2) if m2 < 1 else 4.0 * params.sigma / abs(1 - m2) ** 0.5
-        a_bar = 0.5 * (params.a0 + params.a1)
-        center = 0.5 * (params.b0 + params.b1) / (1.0 - a_bar) if abs(a_bar) < 1 else 0.0
-        half_width = max(10.0 * sd, 7.0 * params.sigma / (1.0 - a_max) if a_max < 1 else 12.0 * sd)
-        half_width += abs(center)
+    a_max = max(abs(params.a0), abs(params.a1))
+    m2 = 0.5 * (params.a0**2 + params.a1**2)
+    sd = params.sigma / math.sqrt(1.0 - m2) if m2 < 1 else 4.0 * params.sigma / abs(1 - m2) ** 0.5
+    a_bar = 0.5 * (params.a0 + params.a1)
+    center = 0.5 * (params.b0 + params.b1) / (1.0 - a_bar) if abs(a_bar) < 1 else 0.0
+    half_width = max(10.0 * sd, 7.0 * params.sigma / (1.0 - a_max) if a_max < 1 else 12.0 * sd)
+    half_width += abs(center)
     return np.linspace(-half_width, half_width, GRID_NODES)
 
 
@@ -115,9 +113,7 @@ def apply_q(params: BarParams, f: GridFunction, gh_nodes: int = GH_NODES) -> Gri
     return GridFunction(x, 0.5 * acc, warn)
 
 
-def _apply_p_outer(
-    params: BarParams, g1: GridFunction, g2: GridFunction, gh_nodes: int = GH_NODES
-) -> GridFunction:
+def _apply_p_outer(params: BarParams, g1: GridFunction, g2: GridFunction) -> GridFunction:
     """x -> E[g1(child0) * g2(child1) | parent = x], joint over the correlated pair.
 
     The second child's node z[i, j, l] depends on the first child's node j
@@ -125,7 +121,7 @@ def _apply_p_outer(
     broadcast to the full (G, gh, gh) array, so the matmul sees the bytes
     the full evaluation would give.
     """
-    t, w = _hermgauss(gh_nodes)
+    t, w = _hermgauss(GH_NODES)
     x = g1.nodes
     c10 = params.rho / params.sigma
     c11 = math.sqrt(params.sigma**2 - params.rho**2 / params.sigma**2)
@@ -137,17 +133,15 @@ def _apply_p_outer(
         + _SQRT2 * c10 * tj[None, :, None]
         + _SQRT2 * c11 * t[None, None, :]
     )
-    g2z = np.ascontiguousarray(np.broadcast_to(g2(z), (x.size, gh_nodes, gh_nodes)))
+    g2z = np.ascontiguousarray(np.broadcast_to(g2(z), (x.size, GH_NODES, GH_NODES)))
     inner = g2z @ w  # (G, gh) after integrating the second child
     vals = ((g1(y) * inner) @ w) / math.pi
     return GridFunction(x, vals, g1.tail_warning or g2.tail_warning)
 
 
-def _apply_p_sym_outer(
-    params: BarParams, g1: GridFunction, g2: GridFunction, gh_nodes: int = GH_NODES
-) -> GridFunction:
-    a = _apply_p_outer(params, g1, g2, gh_nodes)
-    b = _apply_p_outer(params, g2, g1, gh_nodes)
+def _apply_p_sym_outer(params: BarParams, g1: GridFunction, g2: GridFunction) -> GridFunction:
+    a = _apply_p_outer(params, g1, g2)
+    b = _apply_p_outer(params, g2, g1)
     return GridFunction(a.nodes, 0.5 * (a.values + b.values), a.tail_warning or b.tail_warning)
 
 
@@ -202,33 +196,20 @@ def _iterate_q(params: BarParams, f: GridFunction, times: int) -> GridFunction:
     return g
 
 
-def true_variance_clt(
-    params: SymmetricBarParams,
-    x: float,
-    x0: float,
-    x1: float,
-    statistic: str = "p_hat",
-    population: Population = Population.GEN_N,
-) -> float:
+def true_variance_clt(params: SymmetricBarParams, x: float, x0: float, x1: float, statistic: str = "p_hat") -> float:
     """Limit variance of the standardized estimator at the given point.
 
     statistic "p_hat":   ||K0||_2^6 * P(x,x0,x1) / mu(x)
     statistic "mu_tri":  ||K0||_2^6 * mu_tri(x,x0,x1) under the estimator's
                          own sqrt(|A_n| h^3) normalization (same for both
                          populations)
-    statistic "num_raw": variance of the generation-sqrt-normalized numerator
-                         sum, which doubles on the whole-tree index set
     """
     bar = params.to_bar_params()
     if statistic == "p_hat":
         p = transition_density_p(bar, x, x0, x1)
         return float(L2_NORM_SQ_CUBED * p / stationary_mu(params, x))
-    mt = float(mu_triangle(params, x, x0, x1))
     if statistic == "mu_tri":
-        return L2_NORM_SQ_CUBED * mt
-    if statistic == "num_raw":
-        factor = 2.0 if population is Population.TREE_N else 1.0
-        return factor * L2_NORM_SQ_CUBED * mt
+        return L2_NORM_SQ_CUBED * float(mu_triangle(params, x, x0, x1))
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
@@ -264,7 +245,6 @@ def moment_check_table(
     m: int,
     replications: int,
     seed: int,
-    grid: np.ndarray | None = None,
 ) -> list[MomentCheckRow]:
     """Monte Carlo means of generation sums against the quadrature formulas.
 
@@ -279,8 +259,7 @@ def moment_check_table(
         raise ValueError("need 0 <= m <= n <= 5")
     if replications < 2:
         raise ValueError("need at least 2 replications for a standard error")
-    if grid is None:
-        grid = default_grid(params)
+    grid = default_grid(params)
     f_id = grid_function(grid, lambda y: y)
     f_bump = grid_function(grid, gaussian_bump())
 

@@ -1,10 +1,14 @@
-"""Level-order storage of tree-indexed real samples.
+"""Heap-ordered storage of tree-indexed real samples.
 
 A node is located by (generation, rank): rank is the integer whose bit j is
 the j-th branching choice on the path from the root, so the children of
-(k, r) are (k+1, 2r) and (k+1, 2r+1).  Values are stored level by level in
-rank order, so the daughters of generation k are the even and odd entries of
-level k+1 and scans over a generation stay contiguous.
+(k, r) are (k+1, 2r) and (k+1, 2r+1).  All values live in one array in level
+order: node (k, r) sits at flat index i = 2^k - 1 + r, and its daughters at
+2i + 1 and 2i + 2.  Generation k is the slice [2^k - 1, 2^(k+1) - 1), and
+the mothers of one generation or of the whole tree, with their first and
+second daughters, are three slices of the same array, so index sets are
+views and nothing is copied to form them.  The ``.f64`` file format is this
+array written as it is.
 """
 
 from __future__ import annotations
@@ -33,14 +37,21 @@ def tree_size(n: int) -> int:
     return (1 << (n + 1)) - 1
 
 
-class TreeSample:
-    """All realized values of a tree sample, levels 0..depth+1.
+def _level(k: int) -> slice:
+    """Flat indices of generation k."""
+    return slice((1 << k) - 1, (1 << (k + 1)) - 1)
 
-    Level k holds the 2^k generation-k values in rank order.  One level past
-    the nominal depth is stored so every node up to generation ``depth`` has
-    both children available, i.e. every mother-daughters triangle with parent
-    in the observed index set is complete.  Instances are immutable after
-    construction and safe to share across workers.
+
+class TreeSample:
+    """All realized values of a tree sample, levels 0..depth+1, in heap order.
+
+    ``levels[k]`` holds the 2^k generation-k values in rank order; the
+    constructor copies them once into one read-only array, node (k, r) at
+    flat index 2^k - 1 + r.  One level past the nominal depth is stored so
+    every node up to generation ``depth`` has both children available, i.e.
+    every mother-daughters triangle with parent in the observed index set is
+    complete.  Levels and index sets are read-only views of that array, so
+    instances are immutable and safe to share across workers.
     """
 
     def __init__(self, levels: Sequence[np.ndarray]):
@@ -48,56 +59,50 @@ class TreeSample:
             raise ValueError("need levels 0..depth+1, so at least two levels")
         if len(levels) - 2 > MAX_DEPTH:
             raise OverflowError(f"depth {len(levels) - 2} exceeds limit ({MAX_DEPTH})")
-        frozen = []
+        values = np.empty((1 << len(levels)) - 1)
         for k, lv in enumerate(levels):
-            arr = np.ascontiguousarray(np.asarray(lv, dtype=np.float64))
+            arr = np.asarray(lv, dtype=np.float64)
             if arr.ndim != 1 or arr.shape[0] != (1 << k):
                 raise ValueError(f"level {k} must hold exactly 2^{k} values")
-            arr.flags.writeable = False
-            frozen.append(arr)
-        self._levels = tuple(frozen)
+            values[_level(k)] = arr
+        values.flags.writeable = False
+        self._values = values
 
     @property
     def depth(self) -> int:
-        return len(self._levels) - 2
+        return self._values.size.bit_length() - 2
 
     def level(self, k: int) -> np.ndarray:
         if not 0 <= k <= self.depth + 1:
             raise ValueError(f"level {k} not stored (have 0..{self.depth + 1})")
-        return self._levels[k]
+        return self._values[_level(k)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreeSample):
             return NotImplemented
-        return len(self._levels) == len(other._levels) and all(
-            np.array_equal(a, b) for a, b in zip(self._levels, other._levels)
-        )
+        return np.array_equal(self._values, other._values)
 
     # -- index sets ---------------------------------------------------------
 
-    def population_parents(self, population: Population) -> np.ndarray:
-        """Values X_u for u in the chosen index set, in level/rank order."""
-        n = self.depth
-        if population is Population.GEN_N:
-            return self.level(n)
-        return np.concatenate([self.level(k) for k in range(n + 1)])
-
     def triangle_arrays(self, population: Population) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(parents, children0, children1) arrays over the chosen index set."""
+        """(parents, children0, children1) over the chosen index set, in level/rank order.
+
+        The three columns are read-only views of the stored array (the
+        daughter columns strided), not copies.
+        """
         n = self.depth
-        ks = [n] if population is Population.GEN_N else list(range(n + 1))
-        parents = np.concatenate([self.level(k) for k in ks])
-        c0 = np.concatenate([self.level(k + 1)[0::2] for k in ks])
-        c1 = np.concatenate([self.level(k + 1)[1::2] for k in ks])
-        return parents, c0, c1
+        lo = (1 << n) - 1 if population is Population.GEN_N else 0
+        hi = (1 << (n + 1)) - 1
+        f = self._values
+        return f[lo:hi], f[2 * lo + 1 : 2 * hi + 1 : 2], f[2 * lo + 2 : 2 * hi + 2 : 2]
 
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             fh.write("generation,rank,value\n")
-            for k, lv in enumerate(self._levels):
-                for r, v in enumerate(lv):
+            for k in range(self.depth + 2):
+                for r, v in enumerate(self.level(k)):
                     fh.write(f"{k},{r},{float(v)!r}\n")
 
     @classmethod
@@ -127,23 +132,16 @@ class TreeSample:
         return cls._from_file(out)
 
     def to_raw(self, path: str) -> None:
-        """Little-endian float64 dump, levels concatenated in order."""
-        np.concatenate(self._levels).astype("<f8").tofile(path)
+        """The stored array as little-endian float64, node (k, r) at index 2^k - 1 + r."""
+        self._values.astype("<f8", copy=False).tofile(path)
 
     @classmethod
     def from_raw(cls, path: str) -> "TreeSample":
         flat = np.fromfile(path, dtype="<f8")
-        total, n_levels = len(flat), 0
-        while total > 0:
-            total -= 1 << n_levels
-            n_levels += 1
-        if total != 0:
+        n_levels = flat.size.bit_length()
+        if flat.size != (1 << n_levels) - 1:
             raise ValueError("file length is not 2^m - 1 values")
-        levels, off = [], 0
-        for k in range(n_levels):
-            levels.append(flat[off : off + (1 << k)])
-            off += 1 << k
-        return cls._from_file(levels)
+        return cls._from_file([flat[_level(k)] for k in range(n_levels)])
 
     @classmethod
     def _from_file(cls, levels: list[np.ndarray]) -> "TreeSample":
@@ -152,4 +150,3 @@ class TreeSample:
         if not all(np.isfinite(lv).all() for lv in levels):
             raise ValueError("tree values must be finite (NaN or infinity found)")
         return cls(levels)
-

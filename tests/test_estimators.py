@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -352,6 +352,8 @@ _bandwidth = st.floats(0.05, 2.0)
     axes=st.tuples(_axis_values, _axis_values, _axis_values),
     block=st.sampled_from([1, 100, 400, 2000, estimators._BLOCK_ENTRIES]),
 )
+# x = 1e6: the denominator underflows below DENOMINATOR_FLOOR and p is 0
+@example(depth=3, seed=1, population=Population.GEN_N, hs=(0.3, 0.3, 0.3, 0.3), axes=([0.0, 1e6], [0.0], [0.0]), block=1)
 @settings(max_examples=40, deadline=None)
 def test_grid_values_equal_scalar_calls_bitwise(depth, seed, population, hs, axes, block):
     # small scratch caps split the grid into many blocks of one or a few rows:

@@ -1,8 +1,10 @@
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bmckde import estimators, harness
 from bmckde.bar import BarParams
 from bmckde.cv import default_grid
 from bmckde.harness import (
@@ -88,6 +90,34 @@ def test_thread_pool_merges_identically():
     assert r1.summaries == r4.summaries
 
 
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records its size and maps in this process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, threads, workers", [(2, 16, 2), (16, 4, 4), (16, 16, 12), (1, 4, None)])
+def test_clt_pool_is_capped_by_cpus_and_tasks(monkeypatch, cpus, threads, workers):
+    # 12 tasks; no pool at all when the cap leaves one worker
+    sizes = []
+    monkeypatch.setattr(estimators, "_THREADS", cpus)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda max_workers: _InProcessPool(sizes, max_workers))
+    pooled = run_clt_p_hat(small_spec(n_list=(4, 5), replications=6, threads=threads))
+    serial = run_clt_p_hat(small_spec(n_list=(4, 5), replications=6, threads=1))
+    assert sizes == ([] if workers is None else [workers])
+    assert pooled.rows == serial.rows
+
+
 def test_depths_merge_in_n_list_order_at_any_worker_count():
     # one pool runs every depth, deepest first; rows come back per depth in
     # n_list order, each depth's rows in replication order
@@ -167,6 +197,41 @@ def test_figure_runs_shape_and_truth_column(tmp_path):
     assert len(first) == 50
     gp = gnuplot_script(runs, str(tmp_path))
     assert "splot" in Path(gp).read_text()
+
+
+@pytest.mark.parametrize("failing", ["grid_case1_rot_n4_s1.csv", "summary.csv", "surfaces.gnuplot"])
+def test_figure_outputs_leave_no_partial_file(tmp_path, monkeypatch, failing):
+    # the write of `failing` stops halfway through its first chunk of text
+    runs = run_figure_reproduction("1", RotSelector(), [4], n_seeds=2, seed=5, grid=FigureGrid(points_per_axis=5))
+    real_open = open
+
+    class HalfWritten:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError("no space left on device")
+
+    def open_failing(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return HalfWritten(fh) if os.path.basename(path).startswith(failing) else fh
+
+    monkeypatch.setattr(harness, "open", open_failing, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        write_figure_outputs(runs, str(tmp_path))
+        gnuplot_script(runs, str(tmp_path))
+    names = os.listdir(tmp_path)
+    assert failing not in names
+    assert not any(".tmp." in name for name in names)
+    assert "grid_case1_rot_n4_s0.csv" in names  # written before the failure
 
 
 def test_figure_reproduction_deterministic():

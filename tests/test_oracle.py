@@ -21,7 +21,6 @@ from bmckde.oracle import (
     true_variance_clt,
 )
 from bmckde.rng import derive_seed
-from bmckde.tree import Population
 
 SYM = BarParams(0.5, 0.5, 0.0, 0.0, 1.0, 0.0)
 CORRELATED = BarParams(0.7, 0.4, 0.3, -0.2, 1.0, 0.4)
@@ -285,9 +284,5 @@ def test_true_variance_constants():
     assert true_variance_clt(sym, 0, 0, 0, "p_hat") == pytest.approx(0.010341, abs=2e-6)
     mt = float(mu_triangle(sym, 0, 0, 0))
     assert true_variance_clt(sym, 0, 0, 0, "mu_tri") == pytest.approx(k6 * mt, rel=1e-12)
-    # whole-tree index set doubles the generation-normalized numerator variance
-    v_gen = true_variance_clt(sym, 0, 0, 0, "num_raw", Population.GEN_N)
-    v_tree = true_variance_clt(sym, 0, 0, 0, "num_raw", Population.TREE_N)
-    assert v_tree == pytest.approx(2 * v_gen, rel=1e-14)
     with pytest.raises(ValueError):
         true_variance_clt(sym, 0, 0, 0, "nope")

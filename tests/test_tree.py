@@ -49,6 +49,11 @@ def test_triangles_match_node_addressing():
     parents, c0, c1 = s.triangle_arrays(Population.GEN_N)
     for r in range(8):
         assert (parents[r], c0[r], c1[r]) == (s.level(3)[r], s.level(4)[2 * r], s.level(4)[2 * r + 1])
+    # in level order node (k, r) is flat index i = 2^k - 1 + r, its daughters 2i+1 and 2i+2
+    flat = np.concatenate([s.level(k) for k in range(5)])
+    parents, c0, c1 = s.triangle_arrays(Population.TREE_N)
+    for i in range(15):
+        assert (parents[i], c0[i], c1[i]) == (flat[i], flat[2 * i + 1], flat[2 * i + 2])
 
 
 def test_tree_population_is_union_of_generations():
@@ -80,6 +85,9 @@ def test_raw_roundtrip(tmp_path):
     path = str(tmp_path / "tree.f64")
     s.to_raw(path)
     assert TreeSample.from_raw(path) == s
+    # the file is the stored array as it is, levels back to back
+    assert Path(path).read_bytes() == s._values.astype("<f8").tobytes()
+    assert Path(path).read_bytes() == np.concatenate([s.level(k) for k in range(6)]).astype("<f8").tobytes()
 
 
 # finite doubles, with the ones a text or byte round trip can lose weighted in
@@ -131,3 +139,13 @@ def test_levels_are_immutable():
     s = make_sample(2)
     with pytest.raises(ValueError):
         s.level(1)[0] = 3.0
+    # triangle columns are read-only views of the stored array, not copies
+    for population in Population:
+        for col in s.triangle_arrays(population):
+            assert np.shares_memory(col, s._values)
+            assert not col.flags.writeable
+    # the constructor copies its input, which stays the caller's to change
+    level = np.zeros(2)
+    t = TreeSample([np.zeros(1), level])
+    level[0] = 1.0
+    assert t.level(1)[0] == 0.0
