@@ -99,18 +99,31 @@ def simulate(params: BarParams, n: int, init: InitSpec, seed: int) -> TreeSample
     (params, n, init, seed): bit-identical across runs and worker counts.
     Correlated pairs come from the Cholesky split
     e_u0 = sigma*Z0, e_u1 = (rho/sigma)*Z0 + sqrt(sigma^2 - rho^2/sigma^2)*Z1.
+    The tree is built in place in the array the sample keeps.
     """
-    return TreeSample([lv[0] for lv in simulate_levels(params, n, init, [seed])])
+    return TreeSample._adopt(_simulate_trees(params, n, init, [seed])[0])
 
 
 def simulate_levels(params: BarParams, n: int, init: InitSpec, seeds) -> list[np.ndarray]:
     """Levels 0..n+1 of one tree per seed: level k is an (R, 2^k) array.
 
-    Row r of every level is bitwise ``simulate(params, n, init, seeds[r])``:
-    one bit generator is re-keyed to each (seed, stream) in turn, each seed
-    reaching ``rekey`` as given.  Levels are built flat, R rows of 2^k values
-    back to back, so the children of flat parent j are flat entries 2j and
-    2j+1 and one generation is one pass of the per-tree expressions.
+    Row r of every level is bitwise ``simulate(params, n, init, seeds[r])``.
+    The levels are views of one (R, 2^(n+2) - 1) array, one heap-ordered
+    tree per row.
+    """
+    trees = _simulate_trees(params, n, init, seeds)
+    return [trees[:, (1 << k) - 1 : (1 << (k + 1)) - 1] for k in range(n + 2)]
+
+
+def _simulate_trees(params: BarParams, n: int, init: InitSpec, seeds) -> np.ndarray:
+    """One heap-ordered tree per seed, an (R, 2^(n+2) - 1) array.
+
+    Generation k of row r is the slice [2^k - 1, 2^(k+1) - 1), as in
+    ``TreeSample``.  One bit generator is re-keyed to each (seed, stream) in
+    turn, each seed reaching ``rekey`` as given, and each generation of all
+    rows is one pass of the per-tree expressions, written straight into its
+    slice: the children of parent j of a generation are its entries 2j and
+    2j+1 in the next.
     """
     seeds = list(seeds)
     if not seeds:
@@ -123,34 +136,32 @@ def simulate_levels(params: BarParams, n: int, init: InitSpec, seeds) -> list[np
         raise ValueError("stationary initialization requires the symmetric sub-case")
 
     reps = len(seeds)
+    trees = np.empty((reps, (1 << (n + 2)) - 1))
     gen = philox_stream(seeds[0], 0)  # one bit generator per call, re-keyed per stream
     if init.kind is InitKind.DIRAC:
-        root = np.full(reps, float(init.x0))
+        trees[:, 0] = float(init.x0)
     else:
         sym = SymmetricBarParams(params.a0, params.sigma)
         z = np.empty(reps)
         for r, seed in enumerate(seeds):
             rekey(gen, seed, 0).standard_normal(out=z[r : r + 1])
-        root = sym.sigma_a * z
+        trees[:, 0] = sym.sigma_a * z
 
     sigma, rho = params.sigma, params.rho
     c10 = rho / sigma
     c11 = math.sqrt(sigma**2 - rho**2 / sigma**2)
 
-    levels = [root]
     for k in range(n + 1):
-        parents = levels[k]
+        parents = trees[:, (1 << k) - 1 : (1 << (k + 1)) - 1]
+        children = trees[:, (1 << (k + 1)) - 1 : (1 << (k + 2)) - 1]
         z = np.empty((reps, 1 << k, 2))
         for r, seed in enumerate(seeds):
             rekey(gen, seed, k + 1).standard_normal(out=z[r])
-        z = z.reshape(-1, 2)
-        e0 = sigma * z[:, 0]
-        e1 = c10 * z[:, 0] + c11 * z[:, 1]
-        children = np.empty(reps << (k + 1))
-        children[0::2] = params.a0 * parents + params.b0 + e0
-        children[1::2] = params.a1 * parents + params.b1 + e1
-        levels.append(children)
-    return [lv.reshape(reps, 1 << k) for k, lv in enumerate(levels)]
+        e0 = sigma * z[..., 0]
+        e1 = c10 * z[..., 0] + c11 * z[..., 1]
+        children[:, 0::2] = params.a0 * parents + params.b0 + e0
+        children[:, 1::2] = params.a1 * parents + params.b1 + e1
+    return trees
 
 
 def transition_density_p(params: BarParams, x, y, z):

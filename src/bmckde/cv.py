@@ -14,7 +14,12 @@ scores all folds and bandwidths in one sweep: both integrals and both
 leave-out terms are sums over pairs of triangles in which only the folds of
 the pair matter, so per kernel (conv and kernel, one and three coordinates)
 each fold's sums against all triangles and against itself, with the total,
-are exact sufficient statistics for every fold's score.
+are exact sufficient statistics for every fold's score.  The sweep's chunk
+pairs are handed out one at a time to the pinned worker threads of
+``estimators._worker_pool`` as they free up; the calling thread adds each
+pair's partial sums in the one-thread order, so scores are the same bits at
+any thread count.  A sweep of one chunk pair, or inside a
+``multiprocessing`` worker, runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -23,11 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import _worker_pool
 from .kernels import GAUSSIAN, L2_NORM_SQ_CUBED
 from .rng import FOLD_STREAM, philox_stream
 from .tree import Population, TreeSample
 
-_BLOCK = 256  # rows per chunk: three 512 KB pair buffers, reused for every chunk pair
+_BLOCK = 256  # rows per chunk: three 512 KB pair buffers per worker thread, reused for each of its chunk pairs
 # Exponents are raised to this floor before exp.  Below it the squared kernel
 # exp(x)^2 = exp(2x) underflows, and below twice it exp(x) itself; results that
 # underflow take a slow path about 20x costlier per element.  A raised term is
@@ -179,6 +185,8 @@ def _fold_scores(sample: TreeSample, partition: FoldPartition, grid: np.ndarray)
     total.  Rows sorted by fold are cut into chunks of at most _BLOCK rows,
     long folds into pieces and short ones grouped whole, so there are about
     N / _BLOCK chunks for any K; each chunk pair a <= b adds its sums by fold.
+    Worker threads compute the pairs, each with its own buffers, and the
+    calling thread adds their sums in (a, b) order as they arrive.
     """
     K, nh = partition.K, grid.size
     order = np.argsort(partition.assignment, kind="stable")
@@ -191,14 +199,18 @@ def _fold_scores(sample: TreeSample, partition: FoldPartition, grid: np.ndarray)
     # chunk: rows i0:i1, first fold f, start of each of its folds within the chunk
     chunks = [(i0, i1, fold[i0], np.maximum(bounds[fold[i0] : fold[i1 - 1] + 1] - i0, 0)) for i0, i1 in zip(cuts[:-1], cuts[1:])]
 
-    rows = np.zeros((4, nh, K))  # kernels conv1, ker1, conv3, ker3; fold k against every row
-    diag = np.zeros((4, nh, K))  # fold k against itself
+    pairs = [(a, b) for a in range(len(chunks)) for b in range(a, len(chunks))]
     scale = -0.25 / grid**2
     side = int(np.diff(cuts).max())
-    flat = np.empty((3, side * side))
-    rs, cs, ds = (np.empty((4, nh, side)) for _ in range(3))  # row, column and same-fold sums
-    for a, (i0, i1, f, starts) in enumerate(chunks):
-        for j0, j1, l, lstarts in chunks[a:]:
+
+    def sweep(todo):
+        # per chunk pair of `todo`: the row sums by fold, then the diagonal
+        # block, the column sums by fold or the one-fold total, whichever the
+        # pair adds
+        flat = np.empty((3, side * side))
+        rs, cs, ds = (np.empty((4, nh, side)) for _ in range(3))  # row, column and same-fold sums
+        for a, b in todo:
+            (i0, i1, f, starts), (j0, j1, l, lstarts) = chunks[a], chunks[b]
             ni, nj = i1 - i0, j1 - j0
             d1, d3, e = (buf[: ni * nj].reshape(ni, nj) for buf in flat)
             for v, buf in ((x, d1), (x0, d3), (x1, e)):
@@ -220,16 +232,29 @@ def _fold_scores(sample: TreeSample, partition: FoldPartition, grid: np.ndarray)
                         if same is not None:
                             np.sum(e, axis=1, where=same, out=ds[q, t, :ni])
             r = rs[:, :, :nr]
-            rows[:, :, f : f + starts.size] += np.add.reduceat(r, starts, axis=-1)
             if j0 == i0:  # the chunk against itself
-                diag[:, :, f : f + starts.size] += r if same is None else np.add.reduceat(ds[:, :, :ni], starts, axis=-1)
+                other = r.copy() if same is None else np.add.reduceat(ds[:, :, :ni], starts, axis=-1)
             elif csplit:
-                rows[:, :, l : l + lstarts.size] += np.add.reduceat(cs[:, :, :nj], lstarts, axis=-1)
+                other = np.add.reduceat(cs[:, :, :nj], lstarts, axis=-1)
             else:  # columns of one fold l
-                total = r.sum(axis=-1)
-                rows[:, :, l] += total
+                other = r.sum(axis=-1)
+            yield np.add.reduceat(r, starts, axis=-1), other
+
+    # the calling thread adds every pair's sums in (a, b) order, as one thread would
+    rows = np.zeros((4, nh, K))  # kernels conv1, ker1, conv3, ker3; fold k against every row
+    diag = np.zeros((4, nh, K))  # fold k against itself
+    with _worker_pool(len(pairs)) as pmap:
+        for (a, b), (row, other) in zip(pairs, pmap(sweep, pairs)):
+            (_, _, f, starts), (_, _, l, lstarts) = chunks[a], chunks[b]
+            rows[:, :, f : f + starts.size] += row
+            if a == b:
+                diag[:, :, f : f + starts.size] += other
+            elif lstarts.size > 1:
+                rows[:, :, l : l + lstarts.size] += other
+            else:
+                rows[:, :, l] += other
                 if l == f:  # two pieces of one fold: both orders
-                    diag[:, :, l] += 2.0 * total
+                    diag[:, :, l] += 2.0 * other
 
     comp = rows.sum(axis=-1, keepdims=True) - 2.0 * rows + diag  # complement-complement pair sums
     cross = rows - diag  # held-out rows against the complement

@@ -7,17 +7,23 @@ evaluation points.  It keeps the daughter axes' kernel rows whole and forms
 the products in two reused cache-sized buffers; every value is still one
 contiguous sum over the sample.  The scalar estimators are one-point grids,
 so grid evaluations agree bitwise with scalar calls by construction.  A grid
-of more than one block is split across one thread per CPU the process may
-use, each thread with its own buffers, and gives the same bits at any thread
-count; calls inside a ``multiprocessing`` worker stay on one thread.
+of more than one block is computed by a pool of worker threads, one per CPU
+the process may use, each pinned to its own CPU, with its own buffers, and
+taking the next block as it becomes free; the values are the same bits at
+any thread count.  The same kind of pool runs the cross-validation sweep in
+``cv``.  Calls of one block, and calls inside a ``multiprocessing`` worker,
+stay on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import parent_process
 from typing import Any
 
@@ -34,14 +40,138 @@ DENOMINATOR_FLOOR = 1e-300
 # doubles per scratch buffer (512 KB); each worker thread owns its two, and with
 # its kernel-row block a worker's three buffers fit a 2 MB L2
 _BLOCK_ENTRIES = 1 << 16
-# worker threads per grid call; results are bitwise the same at any count
+# worker threads per pooled call (grid estimator, CV sweep); results are bitwise the same at any count
 _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _runs(units, count):
-    """``units`` cut into ``count`` contiguous runs of near-equal length."""
-    bounds = [len(units) * i // count for i in range(count + 1)]
-    return [units[a:b] for a, b in zip(bounds, bounds[1:])]
+def _pin(cpus):
+    """Pool initializer: pin the new worker thread to the next CPU of ``cpus``."""
+    try:
+        os.sched_setaffinity(0, {cpus.pop()})
+    except OSError:  # not allowed here: the thread runs unpinned
+        pass
+
+
+class _Handout:
+    """One map of ``fn`` over ``units`` by several workers, results in unit order.
+
+    Each worker calls ``fn`` once, on an iterator that hands it the next
+    unit each time it asks, so a worker that is slowed down holds one unit,
+    not a share of them.  What ``fn`` yields after taking a unit are that
+    unit's results.  A worker asks for no new unit while ``window`` results
+    wait for the caller, so held results do not grow with the unit count.
+    """
+
+    def __init__(self, units, window):
+        self.units, self.window = units, window
+        self.cond = threading.Condition()
+        self.claimed = 0  # units handed out
+        self.head = 0  # units below are complete
+        self.done = {}  # results of complete units the caller has not taken
+        self.held = 0  # results in `done`
+        self.error = None
+        self.closed = False
+
+    def work(self, fn):
+        unit, got = None, []
+
+        def claims():
+            nonlocal unit, got
+            while True:
+                with self.cond:
+                    if unit is not None:
+                        self._publish(unit, got)
+                        unit, got = None, []
+                    while self.held >= self.window and not self.closed:
+                        self.cond.wait()
+                    if self.closed or self.claimed == len(self.units):
+                        return
+                    unit = self.claimed
+                    self.claimed += 1
+                yield self.units[unit]
+
+        try:
+            todo = claims()
+            for result in fn(todo) or ():
+                got.append(result)
+            if next(todo, todo) is not todo:  # publishes the last unit; no unit may be left
+                raise RuntimeError("fn returned before taking all its units")
+        except BaseException as exc:
+            with self.cond:
+                self.error, self.closed = exc, True
+                self.cond.notify_all()
+            raise
+
+    def _publish(self, unit, results):
+        self.done[unit] = results
+        self.held += len(results)
+        if unit == self.head:
+            ready = False
+            while self.head in self.done:
+                ready = ready or bool(self.done[self.head])
+                self.head += 1
+            if ready or self.head == len(self.units):
+                self.cond.notify_all()
+
+    def results(self):
+        try:
+            for unit in range(len(self.units)):
+                with self.cond:
+                    while self.head <= unit and self.error is None:
+                        self.cond.wait()
+                    if self.error is not None:
+                        raise self.error
+                    got = self.done.pop(unit)
+                    if got:
+                        self.held -= len(got)
+                        self.cond.notify_all()
+                yield from got
+        finally:
+            with self.cond:
+                self.closed = True
+                self.cond.notify_all()
+
+
+def _map_inline(fn, units):
+    yield from fn(iter(units)) or ()
+
+
+def _map_pooled(pool, threads, fn, units):
+    """``fn``'s results over ``units``, in unit order, from ``threads`` workers of ``pool``."""
+    handout = _Handout(units, 4 * threads)
+    workers = [pool.submit(handout.work, fn) for _ in range(min(threads, len(units)))]
+    yield from handout.results()
+    for worker in workers:
+        worker.result()
+
+
+@contextmanager
+def _worker_pool(units):
+    """A ``map(fn, units)`` for a call of ``units`` work units, on one thread pool.
+
+    The map calls ``fn(it)`` on iterators ``it`` of the units, which ``fn``
+    takes one at a time, and yields what ``fn`` yields for each unit, in
+    unit order.  The pool has one thread per CPU the process may use, at
+    most one per unit, and lives for the ``with`` block; each worker is
+    pinned to its own CPU of the calling thread's affinity mask (unpinned
+    where that is not allowed), the calling thread is never pinned, and
+    every worker takes the next unit as it becomes free.  Calls of at most
+    one unit, and calls inside a ``multiprocessing`` worker, get a map that
+    runs ``fn`` over all units on the calling thread.  Units computed
+    exactly as on one thread therefore give the same values at any thread
+    count.
+    """
+    threads = min(_THREADS, units)
+    if threads <= 1 or parent_process() is not None:
+        yield _map_inline
+        return
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    pinning = {"initializer": _pin, "initargs": ([cpus[i % len(cpus)] for i in range(threads)],)} if cpus else {}
+    pool = ThreadPoolExecutor(threads, **pinning)
+    try:
+        yield partial(_map_pooled, pool, threads)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _kernel_sums(columns, bandwidths, axes) -> np.ndarray:
@@ -60,11 +190,12 @@ def _kernel_sums(columns, bandwidths, axes) -> np.ndarray:
     ``_BLOCK_ENTRIES`` entries, or one row if it is longer.
 
     The kernel-row blocks, then the (x block, x0 rows, x1 chunk) product
-    blocks, are cut into contiguous runs, one per thread of a pool that lives
-    for this call only; each block is computed exactly as on one thread, into
-    its own slice of the result, so the values do not depend on the thread
-    count.  One-block calls (every scalar estimate) and calls inside a
-    ``multiprocessing`` worker run on the calling thread.
+    blocks, are handed out to the threads of one ``_worker_pool`` that lives
+    for this call; each block is computed exactly as on one thread, into its
+    own slice of the result, so the values do not depend on the thread count
+    or on which thread takes which block.  One-block calls (every scalar
+    estimate) and calls inside a ``multiprocessing`` worker run on the
+    calling thread.
     """
     for h in bandwidths:
         if not (h > 0 and math.isfinite(h)):
@@ -94,15 +225,15 @@ def _kernel_sums(columns, bandwidths, axes) -> np.ndarray:
     else:
         blocks = [(a0, 0, 0) for a0 in lead_blocks]
 
-    def fill_rows(run):
-        for rows, ax, col, h in run:
+    def fill_rows(todo):
+        for rows, ax, col, h in todo:
             rows[...] = GAUSSIAN((ax[:, None] - col[None, :]) / h)
 
-    def fill_products(run):
+    def fill_products(todo):
         if trailing:
             tail, prod = np.empty((2, group * chunk, size))
-        lead_at = None  # x block whose kernel rows `lead` holds; a run may start mid-block
-        for a0, i0, i1 in run:
+        lead_at = None  # x block whose kernel rows `lead` holds; a thread may take any block next
+        for a0, i0, i1 in todo:
             if a0 != lead_at:
                 lead = GAUSSIAN((axes[0][a0 : a0 + step, None] - columns[0][None, :]) / bandwidths[0])
                 lead_at = a0
@@ -116,14 +247,9 @@ def _kernel_sums(columns, bandwidths, axes) -> np.ndarray:
             for i, row in enumerate(lead):
                 out[a0 + i, t0 : t0 + len(block)] = np.sum(np.multiply(row, block, out=scratch), axis=-1)
 
-    threads = min(_THREADS, len(blocks))
-    if threads <= 1 or parent_process() is not None:
-        fill_rows(row_blocks)
-        fill_products(blocks)
-    else:
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(fill_rows, _runs(row_blocks, threads)))
-            list(pool.map(fill_products, _runs(blocks, threads)))
+    with _worker_pool(len(blocks)) as pmap:
+        list(pmap(fill_rows, row_blocks))
+        list(pmap(fill_products, blocks))
     norm = size
     for h in bandwidths:
         norm = norm * h

@@ -68,6 +68,18 @@ class TreeSample:
         values.flags.writeable = False
         self._values = values
 
+    @classmethod
+    def _adopt(cls, values: np.ndarray) -> "TreeSample":
+        """A sample over ``values``, 2^m - 1 float64 values in heap order, not copied.
+
+        ``values`` is made read-only; the caller must not keep a writable
+        alias of it.
+        """
+        sample = cls.__new__(cls)
+        values.flags.writeable = False
+        sample._values = values
+        return sample
+
     @property
     def depth(self) -> int:
         return self._values.size.bit_length() - 2
@@ -146,7 +158,7 @@ class TreeSample:
     @classmethod
     def _from_file(cls, levels: list[np.ndarray]) -> "TreeSample":
         # Values read from outside must be finite.  The constructor does not
-        # check this: every simulated tree is built through it.
+        # check this, so trees built in memory are not scanned.
         if not all(np.isfinite(lv).all() for lv in levels):
             raise ValueError("tree values must be finite (NaN or infinity found)")
         return cls(levels)

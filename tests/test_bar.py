@@ -17,6 +17,7 @@ from bmckde.bar import (
     transition_density_p,
 )
 from bmckde.rng import derive_seed, philox_stream
+from bmckde.tree import TreeSample
 
 CASE1 = BarParams(0.7, 0.5, 0.0, 0.0, 1.0, 0.0)
 CASE2 = BarParams(1.2, 0.7, 0.0, 0.0, 1.0, 0.0)
@@ -54,6 +55,22 @@ def test_simulate_depth_and_levels():
     assert s.depth == 3
     assert s.level(0)[0] == 0.5
     assert len(s.level(4)) == 16
+
+
+def test_simulate_builds_the_tree_in_place(monkeypatch):
+    # the sample keeps the array the recursion wrote, read-only; the copying
+    # constructor is not called
+    def no_copy(*args):
+        raise AssertionError("simulate copied the tree")
+
+    reference = simulate(CASE1, 5, InitSpec.dirac(0.5), 9)
+    monkeypatch.setattr(TreeSample, "__init__", no_copy)
+    s = simulate(CASE1, 5, InitSpec.dirac(0.5), 9)
+    assert s == reference
+    levels = [s.level(k) for k in range(7)]
+    assert not any(lv.flags.writeable for lv in levels)
+    with pytest.raises(ValueError):
+        levels[6][0] = 1.0
 
 
 def test_stationary_init_requires_symmetric():

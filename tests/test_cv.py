@@ -1,5 +1,10 @@
 import math
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -8,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
-from bmckde import cv
+from bmckde import cv, estimators
 from bmckde.bar import BarParams, InitSpec, simulate
 from bmckde.cv import cv_select, default_grid, j_hat_den, j_hat_num, make_folds
 from bmckde.tree import Population, TreeSample
@@ -262,3 +267,98 @@ def test_cv_interior_selection_on_reference_model():
         if grid[0] < res.h_d_hat < grid[-1]:
             interior += 1
     assert interior >= 8
+
+
+def _sweep_cases():
+    # (depth, K, rows per chunk): K = 2, 5, 64 and leave-one-out on depths
+    # 3-9; chunks of 1 and 3 rows on the smaller trees, so that diagonal,
+    # one-fold, split-column and grouped-fold pairs all occur in many runs
+    cases = []
+    for n in range(3, 10):
+        for K in sorted({2, 5, 64, 1 << n}):
+            for block in (1, 3, cv._BLOCK):
+                if K <= 1 << n and (block == cv._BLOCK or (block == 3 and n <= 6) or n <= 4):
+                    cases.append((n, K, block))
+    return cases
+
+
+def _sweep(n, K, block):
+    s = simulate(BarParams(0.7, 0.5), n, InitSpec.dirac(0.0), 40 + n)
+    with mock.patch.object(cv, "_BLOCK", block):
+        j_den, j_num = cv._fold_scores(s, make_folds(n, K, K + n), np.array([0.15, 0.6]))
+    return j_den.tobytes(), j_num.tobytes()
+
+
+def test_fold_scores_do_not_depend_on_thread_count():
+    cases = _sweep_cases()
+    results = {}
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for threads in (1, 2, 3, 8):
+            with mock.patch.object(estimators, "_THREADS", threads):
+                for case in cases:
+                    results[threads, case] = _sweep(*case)
+    finally:
+        sys.setswitchinterval(interval)
+    for (threads, case), scores in results.items():
+        assert scores == results[1, case], (threads, case)
+
+
+class _NoExecutor:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+
+def test_one_chunk_pair_sweep_builds_no_pool():
+    s = simulate(BarParams(0.7, 0.5), 6, InitSpec.dirac(0.0), 2)  # 64 rows: one chunk
+    with mock.patch.object(estimators, "_THREADS", 8), mock.patch.object(estimators, "ThreadPoolExecutor", _NoExecutor):
+        res = cv_select(s, K=5, grid=default_grid(6, 4), seed=1)
+    with mock.patch.object(estimators, "_THREADS", 1):
+        assert res.scores_den.tobytes() == cv_select(s, K=5, grid=default_grid(6, 4), seed=1).scores_den.tobytes()
+
+
+def _sweep_in_child(n, K, block):
+    with mock.patch.object(estimators, "_THREADS", 8), mock.patch.object(estimators, "ThreadPoolExecutor", _NoExecutor):
+        return _sweep(n, K, block)
+
+
+def test_sweep_in_a_multiprocessing_child_runs_on_the_calling_thread():
+    case = (6, 5, 3)  # chunks of 3 rows: hundreds of chunk pairs
+    with mock.patch.object(estimators, "_THREADS", 1):
+        expected = _sweep(*case)
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        assert pool.submit(_sweep_in_child, *case).result(timeout=120) == expected
+
+
+def test_threaded_sweep_leaves_no_thread_and_no_pinning_behind():
+    s = simulate(BarParams(0.7, 0.5), 9, InitSpec.dirac(0.0), 8)
+    built = []
+
+    class Spy(estimators.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    threads, mask = threading.active_count(), os.sched_getaffinity(0)
+    with mock.patch.object(estimators, "_THREADS", 4), mock.patch.object(estimators, "ThreadPoolExecutor", Spy):
+        cv_select(s, K=5, grid=default_grid(9, 4), seed=3)
+    assert built == [(4,)]
+    assert threading.active_count() == threads
+    assert os.sched_getaffinity(0) == mask
+
+
+def test_fold_scores_equal_when_workers_cannot_be_pinned():
+    def refuse(*args):
+        raise OSError("not allowed")
+
+    case = (7, 64, 3)
+    with mock.patch.object(estimators, "_THREADS", 1):
+        expected = _sweep(*case)
+    with mock.patch.object(estimators, "_THREADS", 2), mock.patch.object(os, "sched_setaffinity", refuse):
+        assert _sweep(*case) == expected
+
+
+def test_leave_one_out_sweep_bounds_hold_on_four_threads():
+    with mock.patch.object(estimators, "_THREADS", 4):
+        test_leave_one_out_sweep_work_and_memory_do_not_grow_with_K()

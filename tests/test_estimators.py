@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import os
 import sys
 import threading
 import time
@@ -527,3 +528,139 @@ def test_tail_density_near_1e_200_is_kept_exactly():
     assert bits(tri.values[3]) == bits(direct / (((X.size * 0.3) * 0.3) * 0.1))
     assert bits(tri.values[3]) == bits(mu_tri_hat(s, Population.GEN_N, bw, *pt))
     assert bits(p.values[3]) == bits(p_hat(s, Population.GEN_N, bw, 0.3, *pt))
+
+
+def _squares(units):
+    for u in units:
+        yield u * u
+
+
+def test_worker_pool_returns_results_in_unit_order_at_any_thread_count():
+    # earlier units sleep longer, so later ones finish first; unit u yields
+    # u % 3 results, so units with none and with several are attributed right
+    def slow_first(units):
+        for u in units:
+            time.sleep(0.002 * (37 - u) / 37)
+            yield from [(u, j) for j in range(u % 3)]
+
+    units = list(range(37))
+    for threads in (1, 2, 3, 8):
+        with mock.patch.object(estimators, "_THREADS", threads):
+            with estimators._worker_pool(len(units)) as pmap:
+                assert list(pmap(slow_first, units)) == [(u, j) for u in units for j in range(u % 3)]
+                assert list(pmap(_squares, units[:5])) == [0, 1, 4, 9, 16]  # a second map on the same pool
+                assert list(pmap(lambda it: list(it) and None, units)) == []  # results are optional
+
+
+def test_worker_pool_hands_out_units_as_threads_free_up():
+    # two threads: unit 0 waits for unit 3 to start, which only the other
+    # thread can reach, by taking units 1, 2 and 3 in turn
+    third_started = threading.Event()
+
+    def work(units):
+        for u in units:
+            if u == 0:
+                assert third_started.wait(timeout=30), "unit 3 never started"
+            if u == 3:
+                third_started.set()
+            yield u
+
+    with mock.patch.object(estimators, "_THREADS", 2), estimators._worker_pool(8) as pmap:
+        assert list(pmap(work, list(range(8)))) == list(range(8))
+
+
+def test_worker_pool_holds_a_bounded_number_of_results():
+    # one result per unit and a slow caller: workers take no unit while 4
+    # results per thread wait; each thread may still finish one unit it took
+    # and be computing the next
+    started = []
+
+    def work(units):
+        for u in units:
+            started.append(u)
+            yield u
+
+    units = list(range(64))
+    with mock.patch.object(estimators, "_THREADS", 2), estimators._worker_pool(len(units)) as pmap:
+        for taken, u in enumerate(pmap(work, units)):
+            assert u == taken
+            time.sleep(0.0005)
+            assert len(started) <= taken + 4 * 2 + 2 * 2, (taken, len(started))
+
+
+def test_worker_pool_raises_a_worker_error_and_stops():
+    def work(units):
+        for u in units:
+            if u == 5:
+                raise ZeroDivisionError(u)
+            yield u
+
+    before = threading.active_count()
+    with mock.patch.object(estimators, "_THREADS", 2):
+        with pytest.raises(ZeroDivisionError):
+            with estimators._worker_pool(40) as pmap:
+                list(pmap(work, list(range(40))))
+    assert threading.active_count() == before
+
+
+def test_worker_pool_raises_when_fn_leaves_units_untaken():
+    def first_only(units):
+        yield next(units)
+
+    with mock.patch.object(estimators, "_THREADS", 2):
+        with pytest.raises(RuntimeError, match="before taking all its units"):
+            with estimators._worker_pool(9) as pmap:
+                list(pmap(first_only, list(range(9))))
+
+
+def test_worker_threads_are_pinned_and_the_calling_thread_is_not():
+    mask = os.sched_getaffinity(0)
+    seen = {}
+
+    def where(units):
+        for u in units:
+            time.sleep(0.002)
+            seen.setdefault(threading.get_ident(), set()).add(frozenset(os.sched_getaffinity(0)))
+            yield u
+
+    before = threading.active_count()
+    with mock.patch.object(estimators, "_THREADS", 2), estimators._worker_pool(16) as pmap:
+        list(pmap(where, list(range(16))))
+    assert threading.get_ident() not in seen
+    for masks in seen.values():
+        assert len(masks) == 1 and len(next(iter(masks))) == 1 and next(iter(masks)) <= mask
+    if len(mask) > 1 and len(seen) == 2:
+        assert len(set.union(*seen.values())) == 2  # one CPU each
+    assert os.sched_getaffinity(0) == mask
+    assert threading.active_count() == before
+
+
+def test_calls_of_at_most_one_unit_map_inline():
+    with mock.patch.object(estimators, "_THREADS", 8), mock.patch.object(estimators, "ThreadPoolExecutor", _NoExecutor):
+        with estimators._worker_pool(1) as pmap:
+            assert list(pmap(_squares, [3])) == [9]
+        with estimators._worker_pool(0) as pmap:
+            assert list(pmap(_squares, [])) == []
+
+
+def test_grid_values_equal_when_workers_cannot_be_pinned():
+    def refuse(*args):
+        raise OSError("not allowed")
+
+    built = []
+
+    class Spy(estimators.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    with mock.patch.object(estimators, "_THREADS", 1):
+        expected = _grids(Population.TREE_N, 3 * 127)
+    before = os.sched_getaffinity(0)
+    with (
+        mock.patch.object(estimators, "_THREADS", 2),
+        mock.patch.object(estimators, "ThreadPoolExecutor", Spy),
+        mock.patch.object(os, "sched_setaffinity", refuse),
+    ):
+        assert _grids(Population.TREE_N, 3 * 127) == expected
+    assert built and os.sched_getaffinity(0) == before
