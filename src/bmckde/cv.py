@@ -15,15 +15,17 @@ leave-out terms are sums over pairs of triangles in which only the folds of
 the pair matter, so per kernel (conv and kernel, one and three coordinates)
 each fold's sums against all triangles and against itself, with the total,
 are exact sufficient statistics for every fold's score.  The sweep's chunk
-pairs are handed out one at a time to the pinned worker threads of
-``estimators._worker_pool`` as they free up; the calling thread adds each
-pair's partial sums in the one-thread order, so scores are the same bits at
-any thread count.  A sweep of one chunk pair, or inside a
-``multiprocessing`` worker, runs on the calling thread.
+pairs are mapped over the pinned worker threads of
+``estimators._worker_pool``, whose queue gives the next pair to whichever
+thread is free; each thread fills its buffers on its first pair, and the
+calling thread adds each pair's partial sums in the one-thread order, so
+scores are the same bits at any thread count.  A sweep of one chunk pair,
+or inside a ``multiprocessing`` worker, runs on the calling thread.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +35,7 @@ from .kernels import GAUSSIAN, L2_NORM_SQ_CUBED
 from .rng import FOLD_STREAM, philox_stream
 from .tree import Population, TreeSample
 
-_BLOCK = 256  # rows per chunk: three 512 KB pair buffers per worker thread, reused for each of its chunk pairs
+_BLOCK = 256  # rows per chunk: three 512 KB pair buffers per thread, filled on its first chunk pair and reused
 # Exponents are raised to this floor before exp.  Below it the squared kernel
 # exp(x)^2 = exp(2x) underflows, and below twice it exp(x) itself; results that
 # underflow take a slow path about 20x costlier per element.  A raised term is
@@ -203,42 +205,43 @@ def _fold_scores(sample: TreeSample, partition: FoldPartition, grid: np.ndarray)
     scale = -0.25 / grid**2
     side = int(np.diff(cuts).max())
 
-    def sweep(todo):
-        # per chunk pair of `todo`: the row sums by fold, then the diagonal
-        # block, the column sums by fold or the one-fold total, whichever the
-        # pair adds
-        flat = np.empty((3, side * side))
-        rs, cs, ds = (np.empty((4, nh, side)) for _ in range(3))  # row, column and same-fold sums
-        for a, b in todo:
-            (i0, i1, f, starts), (j0, j1, l, lstarts) = chunks[a], chunks[b]
-            ni, nj = i1 - i0, j1 - j0
-            d1, d3, e = (buf[: ni * nj].reshape(ni, nj) for buf in flat)
-            for v, buf in ((x, d1), (x0, d3), (x1, e)):
-                np.square(np.subtract.outer(v[i0:i1], v[j0:j1], out=buf), out=buf)
-            np.add(np.add(d3, e, out=d3), d1, out=d3)
-            nr = ni if starts.size > 1 else 1  # row sums where rows span several folds, else one total
-            er = e.reshape(nr, -1)
-            csplit = j0 != i0 and lstarts.size > 1  # columns of several folds: keep the column sums
-            same = fold[i0:i1, None] == fold[None, i0:i1] if j0 == i0 and nr > 1 else None
-            for t in range(nh):
-                for c, d in ((0, d1), (2, d3)):
-                    np.exp(np.maximum(np.multiply(d, scale[t], out=e), _EXP_FLOOR, out=e), out=e)
-                    for q in (c, c + 1):  # the conv kernel, then its square, the kernel
-                        if q > c:
-                            np.square(e, out=e)
-                        er.sum(axis=1, out=rs[q, t, :nr])
-                        if csplit:
-                            e.sum(axis=0, out=cs[q, t, :nj])
-                        if same is not None:
-                            np.sum(e, axis=1, where=same, out=ds[q, t, :ni])
-            r = rs[:, :, :nr]
-            if j0 == i0:  # the chunk against itself
-                other = r.copy() if same is None else np.add.reduceat(ds[:, :, :ni], starts, axis=-1)
-            elif csplit:
-                other = np.add.reduceat(cs[:, :, :nj], lstarts, axis=-1)
-            else:  # columns of one fold l
-                other = r.sum(axis=-1)
-            yield np.add.reduceat(r, starts, axis=-1), other
+    mine = threading.local()  # per thread: its buffers, filled on its first pair
+
+    def sweep(pair):
+        # the chunk pair's row sums by fold, then its diagonal block, column
+        # sums by fold or one-fold total, whichever the pair adds
+        if not hasattr(mine, "flat"):
+            mine.flat, mine.sums = np.empty((3, side * side)), np.empty((3, 4, nh, side))
+        flat, (rs, cs, ds) = mine.flat, mine.sums  # pair buffers; row, column and same-fold sums
+        (i0, i1, f, starts), (j0, j1, l, lstarts) = (chunks[c] for c in pair)
+        ni, nj = i1 - i0, j1 - j0
+        d1, d3, e = (buf[: ni * nj].reshape(ni, nj) for buf in flat)
+        for v, buf in ((x, d1), (x0, d3), (x1, e)):
+            np.square(np.subtract.outer(v[i0:i1], v[j0:j1], out=buf), out=buf)
+        np.add(np.add(d3, e, out=d3), d1, out=d3)
+        nr = ni if starts.size > 1 else 1  # row sums where rows span several folds, else one total
+        er = e.reshape(nr, -1)
+        csplit = j0 != i0 and lstarts.size > 1  # columns of several folds: keep the column sums
+        same = fold[i0:i1, None] == fold[None, i0:i1] if j0 == i0 and nr > 1 else None
+        for t in range(nh):
+            for c, d in ((0, d1), (2, d3)):
+                np.exp(np.maximum(np.multiply(d, scale[t], out=e), _EXP_FLOOR, out=e), out=e)
+                for q in (c, c + 1):  # the conv kernel, then its square, the kernel
+                    if q > c:
+                        np.square(e, out=e)
+                    er.sum(axis=1, out=rs[q, t, :nr])
+                    if csplit:
+                        e.sum(axis=0, out=cs[q, t, :nj])
+                    if same is not None:
+                        np.sum(e, axis=1, where=same, out=ds[q, t, :ni])
+        r = rs[:, :, :nr]
+        if j0 == i0:  # the chunk against itself
+            other = r.copy() if same is None else np.add.reduceat(ds[:, :, :ni], starts, axis=-1)
+        elif csplit:
+            other = np.add.reduceat(cs[:, :, :nj], lstarts, axis=-1)
+        else:  # columns of one fold l
+            other = r.sum(axis=-1)
+        return np.add.reduceat(r, starts, axis=-1), other
 
     # the calling thread adds every pair's sums in (a, b) order, as one thread would
     rows = np.zeros((4, nh, K))  # kernels conv1, ker1, conv3, ker3; fold k against every row

@@ -7,12 +7,12 @@ evaluation points.  It keeps the daughter axes' kernel rows whole and forms
 the products in two reused cache-sized buffers; every value is still one
 contiguous sum over the sample.  The scalar estimators are one-point grids,
 so grid evaluations agree bitwise with scalar calls by construction.  A grid
-of more than one block is computed by a pool of worker threads, one per CPU
-the process may use, each pinned to its own CPU, with its own buffers, and
-taking the next block as it becomes free; the values are the same bits at
-any thread count.  The same kind of pool runs the cross-validation sweep in
-``cv``.  Calls of one block, and calls inside a ``multiprocessing`` worker,
-stay on the calling thread.
+of more than one unit is computed by a pool of worker threads, one per CPU
+the process may use, each pinned to its own CPU, with its own buffers; the
+executor's queue gives the next unit to whichever thread is free, and the
+values are the same bits at any thread count.  The same pool runs the
+cross-validation sweep in ``cv``.  Calls of one unit, and calls inside a
+``multiprocessing`` worker, stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from itertools import islice
 from multiprocessing import parent_process
 from typing import Any
 
@@ -37,8 +38,8 @@ from .tree import Population, TreeSample
 # than exact zero.
 DENOMINATOR_FLOOR = 1e-300
 
-# doubles per scratch buffer (512 KB); each worker thread owns its two, and with
-# its kernel-row block a worker's three buffers fit a 2 MB L2
+# doubles per scratch buffer (512 KB); each thread fills its own two on its first
+# unit, and with its x block's kernel rows a thread's three buffers fit a 2 MB L2
 _BLOCK_ENTRIES = 1 << 16
 # worker threads per pooled call (grid estimator, CV sweep); results are bitwise the same at any count
 _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -52,124 +53,39 @@ def _pin(cpus):
         pass
 
 
-class _Handout:
-    """One map of ``fn`` over ``units`` by several workers, results in unit order.
-
-    Each worker calls ``fn`` once, on an iterator that hands it the next
-    unit each time it asks, so a worker that is slowed down holds one unit,
-    not a share of them.  What ``fn`` yields after taking a unit are that
-    unit's results.  A worker asks for no new unit while ``window`` results
-    wait for the caller, so held results do not grow with the unit count.
-    """
-
-    def __init__(self, units, window):
-        self.units, self.window = units, window
-        self.cond = threading.Condition()
-        self.claimed = 0  # units handed out
-        self.head = 0  # units below are complete
-        self.done = {}  # results of complete units the caller has not taken
-        self.held = 0  # results in `done`
-        self.error = None
-        self.closed = False
-
-    def work(self, fn):
-        unit, got = None, []
-
-        def claims():
-            nonlocal unit, got
-            while True:
-                with self.cond:
-                    if unit is not None:
-                        self._publish(unit, got)
-                        unit, got = None, []
-                    while self.held >= self.window and not self.closed:
-                        self.cond.wait()
-                    if self.closed or self.claimed == len(self.units):
-                        return
-                    unit = self.claimed
-                    self.claimed += 1
-                yield self.units[unit]
-
-        try:
-            todo = claims()
-            for result in fn(todo) or ():
-                got.append(result)
-            if next(todo, todo) is not todo:  # publishes the last unit; no unit may be left
-                raise RuntimeError("fn returned before taking all its units")
-        except BaseException as exc:
-            with self.cond:
-                self.error, self.closed = exc, True
-                self.cond.notify_all()
-            raise
-
-    def _publish(self, unit, results):
-        self.done[unit] = results
-        self.held += len(results)
-        if unit == self.head:
-            ready = False
-            while self.head in self.done:
-                ready = ready or bool(self.done[self.head])
-                self.head += 1
-            if ready or self.head == len(self.units):
-                self.cond.notify_all()
-
-    def results(self):
-        try:
-            for unit in range(len(self.units)):
-                with self.cond:
-                    while self.head <= unit and self.error is None:
-                        self.cond.wait()
-                    if self.error is not None:
-                        raise self.error
-                    got = self.done.pop(unit)
-                    if got:
-                        self.held -= len(got)
-                        self.cond.notify_all()
-                yield from got
-        finally:
-            with self.cond:
-                self.closed = True
-                self.cond.notify_all()
-
-
-def _map_inline(fn, units):
-    yield from fn(iter(units)) or ()
-
-
-def _map_pooled(pool, threads, fn, units):
-    """``fn``'s results over ``units``, in unit order, from ``threads`` workers of ``pool``."""
-    handout = _Handout(units, 4 * threads)
-    workers = [pool.submit(handout.work, fn) for _ in range(min(threads, len(units)))]
-    yield from handout.results()
-    for worker in workers:
-        worker.result()
-
-
 @contextmanager
 def _worker_pool(units):
     """A ``map(fn, units)`` for a call of ``units`` work units, on one thread pool.
 
-    The map calls ``fn(it)`` on iterators ``it`` of the units, which ``fn``
-    takes one at a time, and yields what ``fn`` yields for each unit, in
-    unit order.  The pool has one thread per CPU the process may use, at
-    most one per unit, and lives for the ``with`` block; each worker is
-    pinned to its own CPU of the calling thread's affinity mask (unpinned
-    where that is not allowed), the calling thread is never pinned, and
-    every worker takes the next unit as it becomes free.  Calls of at most
-    one unit, and calls inside a ``multiprocessing`` worker, get a map that
-    runs ``fn`` over all units on the calling thread.  Units computed
-    exactly as on one thread therefore give the same values at any thread
-    count.
+    The map yields ``fn(unit)`` for each unit, in unit order.  The pool has
+    one thread per CPU the process may use, at most one per unit, and lives
+    for the ``with`` block; each worker is pinned to its own CPU of the
+    calling thread's affinity mask (unpinned where that is not allowed), and
+    the calling thread is never pinned.  The executor's queue gives the next
+    unit to whichever worker is free; at most 4 units per thread are queued
+    or wait for the caller.  Calls of at most one unit, and calls inside a
+    ``multiprocessing`` worker, get the built-in ``map`` on the calling
+    thread.  Units computed exactly as on one thread therefore give the
+    same values at any thread count.
     """
     threads = min(_THREADS, units)
     if threads <= 1 or parent_process() is not None:
-        yield _map_inline
+        yield map
         return
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     pinning = {"initializer": _pin, "initargs": ([cpus[i % len(cpus)] for i in range(threads)],)} if cpus else {}
     pool = ThreadPoolExecutor(threads, **pinning)
+
+    def pmap(fn, units):
+        todo = iter(units)
+        queued = deque(pool.submit(fn, unit) for unit in islice(todo, 4 * threads))
+        while queued:
+            result = queued.popleft().result()
+            queued.extend(pool.submit(fn, unit) for unit in islice(todo, 1))
+            yield result
+
     try:
-        yield partial(_map_pooled, pool, threads)
+        yield pmap
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -189,11 +105,13 @@ def _kernel_sums(columns, bandwidths, axes) -> np.ndarray:
     any grid agrees bitwise with one-point grids.  Buffers hold at most
     ``_BLOCK_ENTRIES`` entries, or one row if it is longer.
 
-    The kernel-row blocks, then the (x block, x0 rows, x1 chunk) product
-    blocks, are handed out to the threads of one ``_worker_pool`` that lives
-    for this call; each block is computed exactly as on one thread, into its
-    own slice of the result, so the values do not depend on the thread count
-    or on which thread takes which block.  One-block calls (every scalar
+    The kernel-row blocks, then the (x block, x0 rows) product units, each
+    looping over its x1 chunks, are mapped over the threads of one
+    ``_worker_pool`` that lives for this call.  A thread fills its two
+    buffers on its first unit and keeps the kernel rows of the last x block
+    it took.  Each unit is computed exactly as on one thread, into its own
+    slice of the result, so the values do not depend on the thread count or
+    on which thread takes which unit.  One-unit calls (every scalar
     estimate) and calls inside a ``multiprocessing`` worker run on the
     calling thread.
     """
@@ -218,38 +136,38 @@ def _kernel_sums(columns, bandwidths, axes) -> np.ndarray:
     if trailing:
         k0, k1 = trailing
         chunk = min(step, len(k1))
-        group = min(len(k0), max(1, step // len(k1)))  # x0 rows per block
-        blocks = [
-            (a0, i0, i1) for a0 in lead_blocks for i0 in range(0, len(k0), group) for i1 in range(0, len(k1), chunk)
-        ]
+        group = min(len(k0), max(1, step // len(k1)))  # x0 rows per unit
+        units = [(a0, i0) for a0 in lead_blocks for i0 in range(0, len(k0), group)]
     else:
-        blocks = [(a0, 0, 0) for a0 in lead_blocks]
+        units = [(a0, 0) for a0 in lead_blocks]
+    mine = threading.local()  # per thread: its x block's kernel rows and its two product buffers
 
-    def fill_rows(todo):
-        for rows, ax, col, h in todo:
-            rows[...] = GAUSSIAN((ax[:, None] - col[None, :]) / h)
+    def fill_rows(block):
+        rows, ax, col, h = block
+        rows[...] = GAUSSIAN((ax[:, None] - col[None, :]) / h)
 
-    def fill_products(todo):
-        if trailing:
-            tail, prod = np.empty((2, group * chunk, size))
-        lead_at = None  # x block whose kernel rows `lead` holds; a thread may take any block next
-        for a0, i0, i1 in todo:
-            if a0 != lead_at:
-                lead = GAUSSIAN((axes[0][a0 : a0 + step, None] - columns[0][None, :]) / bandwidths[0])
-                lead_at = a0
-            if not trailing:
-                out[a0 : a0 + step, 0] = np.sum(lead, axis=-1)
-                continue
-            r0, r1 = k0[i0 : i0 + group, None], k1[i1 : i1 + chunk]
-            block, scratch = tail[: len(r0) * len(r1)], prod[: len(r0) * len(r1)]
+    def fill_products(unit):
+        a0, i0 = unit
+        if getattr(mine, "lead_at", None) != a0:  # a thread may take any unit next
+            mine.lead = GAUSSIAN((axes[0][a0 : a0 + step, None] - columns[0][None, :]) / bandwidths[0])
+            mine.lead_at = a0
+        if not trailing:
+            out[a0 : a0 + step, 0] = np.sum(mine.lead, axis=-1)
+            return
+        if not hasattr(mine, "tail"):  # the thread's first unit
+            mine.tail, mine.prod = np.empty((2, group * chunk, size))
+        r0 = k0[i0 : i0 + group, None]
+        for i1 in range(0, len(k1), chunk):
+            r1 = k1[i1 : i1 + chunk]
+            block, scratch = mine.tail[: len(r0) * len(r1)], mine.prod[: len(r0) * len(r1)]
             np.multiply(r0, r1, out=block.reshape(len(r0), len(r1), size))
             t0 = i0 * len(k1) + i1
-            for i, row in enumerate(lead):
+            for i, row in enumerate(mine.lead):
                 out[a0 + i, t0 : t0 + len(block)] = np.sum(np.multiply(row, block, out=scratch), axis=-1)
 
-    with _worker_pool(len(blocks)) as pmap:
+    with _worker_pool(len(units)) as pmap:
         list(pmap(fill_rows, row_blocks))
-        list(pmap(fill_products, blocks))
+        list(pmap(fill_products, units))
     norm = size
     for h in bandwidths:
         norm = norm * h

@@ -8,7 +8,7 @@ order: node (k, r) sits at flat index i = 2^k - 1 + r, and its daughters at
 the mothers of one generation or of the whole tree, with their first and
 second daughters, are three slices of the same array, so index sets are
 views and nothing is copied to form them.  The ``.f64`` file format is this
-array written as it is.
+array written as it is, and it is read back without a copy.
 """
 
 from __future__ import annotations
@@ -42,6 +42,13 @@ def _level(k: int) -> slice:
     return slice((1 << k) - 1, (1 << (k + 1)) - 1)
 
 
+def _check_level_count(m: int) -> None:
+    if m < 2:
+        raise ValueError("need levels 0..depth+1, so at least two levels")
+    if m - 2 > MAX_DEPTH:
+        raise OverflowError(f"depth {m - 2} exceeds limit ({MAX_DEPTH})")
+
+
 class TreeSample:
     """All realized values of a tree sample, levels 0..depth+1, in heap order.
 
@@ -55,10 +62,7 @@ class TreeSample:
     """
 
     def __init__(self, levels: Sequence[np.ndarray]):
-        if len(levels) < 2:
-            raise ValueError("need levels 0..depth+1, so at least two levels")
-        if len(levels) - 2 > MAX_DEPTH:
-            raise OverflowError(f"depth {len(levels) - 2} exceeds limit ({MAX_DEPTH})")
+        _check_level_count(len(levels))
         values = np.empty((1 << len(levels)) - 1)
         for k, lv in enumerate(levels):
             arr = np.asarray(lv, dtype=np.float64)
@@ -141,7 +145,7 @@ class TreeSample:
             if sorted(lv) != list(range(1 << k)):
                 raise ValueError(f"level {k} incomplete")
             out.append(np.array([lv[r] for r in range(1 << k)]))
-        return cls._from_file(out)
+        return cls._from_file(np.concatenate(out))
 
     def to_raw(self, path: str) -> None:
         """The stored array as little-endian float64, node (k, r) at index 2^k - 1 + r."""
@@ -149,16 +153,20 @@ class TreeSample:
 
     @classmethod
     def from_raw(cls, path: str) -> "TreeSample":
-        flat = np.fromfile(path, dtype="<f8")
-        n_levels = flat.size.bit_length()
-        if flat.size != (1 << n_levels) - 1:
+        flat = np.fromfile(path, dtype="<f8").astype(np.float64, copy=False)
+        if flat.size != (1 << flat.size.bit_length()) - 1:
             raise ValueError("file length is not 2^m - 1 values")
-        return cls._from_file([flat[_level(k)] for k in range(n_levels)])
+        return cls._from_file(flat)
 
     @classmethod
-    def _from_file(cls, levels: list[np.ndarray]) -> "TreeSample":
-        # Values read from outside must be finite.  The constructor does not
-        # check this, so trees built in memory are not scanned.
-        if not all(np.isfinite(lv).all() for lv in levels):
+    def _from_file(cls, values: np.ndarray) -> "TreeSample":
+        """A sample adopting ``values``, 2^m - 1 float64 values read in heap order.
+
+        The level count is checked as the constructor checks it.  Values read
+        from outside must also be finite; the constructor does not check
+        this, so trees built in memory are not scanned.
+        """
+        _check_level_count(values.size.bit_length())
+        if not np.isfinite(values).all():
             raise ValueError("tree values must be finite (NaN or infinity found)")
-        return cls(levels)
+        return cls._adopt(values)

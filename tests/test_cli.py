@@ -259,6 +259,24 @@ def test_estimate_nonfinite_bandwidth_exit_1(tmp_path, doc):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("tree.f64", b""),
+        ("tree.f64", np.zeros(1).astype("<f8").tobytes()),
+        ("tree.csv", b"generation,rank,value\n0,0,0.5\n"),
+    ],
+)
+def test_estimate_rejects_a_tree_file_of_fewer_than_two_levels(tmp_path, capsys, name, content):
+    tree_path = tmp_path / name
+    tree_path.write_bytes(content)
+    est_cfg = write_config(tmp_path, "est.json", {"estimator": "mu", "h": 0.3, "grid": [0.0]})
+    out = str(tmp_path / "o.csv")
+    assert main(["estimate", "--tree", str(tree_path), "--config", est_cfg, "--out", out]) == 1
+    assert "at least two levels" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_missing_config_key_for_estimator(tmp_path):
     cfg = write_config(tmp_path, "sim.json", {**SIM, "n": 4})
     tree_path = str(tmp_path / "tree.csv")

@@ -418,7 +418,7 @@ def _grids(population, block):
 @pytest.mark.parametrize("rows", [1, 3, 12])
 def test_grid_values_do_not_depend_on_thread_count(rows):
     # 64 triangles in generation 6: with 1, 3 and 12 kernel rows per buffer
-    # there are 90, 12 and 2 product blocks, so runs of 2, 3 and 8 threads come
+    # there are 18, 6 and 2 product units, so runs of 2, 3 and 8 threads come
     # out ragged and cross x-block boundaries; 8 threads is more than the cores
     results = {}
     interval = sys.getswitchinterval()
@@ -530,26 +530,22 @@ def test_tail_density_near_1e_200_is_kept_exactly():
     assert bits(p.values[3]) == bits(p_hat(s, Population.GEN_N, bw, 0.3, *pt))
 
 
-def _squares(units):
-    for u in units:
-        yield u * u
+def _square(u):
+    return u * u
 
 
 def test_worker_pool_returns_results_in_unit_order_at_any_thread_count():
-    # earlier units sleep longer, so later ones finish first; unit u yields
-    # u % 3 results, so units with none and with several are attributed right
-    def slow_first(units):
-        for u in units:
-            time.sleep(0.002 * (37 - u) / 37)
-            yield from [(u, j) for j in range(u % 3)]
+    # earlier units sleep longer, so later ones finish first
+    def slow_first(u):
+        time.sleep(0.002 * (37 - u) / 37)
+        return u, -u
 
     units = list(range(37))
     for threads in (1, 2, 3, 8):
         with mock.patch.object(estimators, "_THREADS", threads):
             with estimators._worker_pool(len(units)) as pmap:
-                assert list(pmap(slow_first, units)) == [(u, j) for u in units for j in range(u % 3)]
-                assert list(pmap(_squares, units[:5])) == [0, 1, 4, 9, 16]  # a second map on the same pool
-                assert list(pmap(lambda it: list(it) and None, units)) == []  # results are optional
+                assert list(pmap(slow_first, units)) == [(u, -u) for u in units]
+                assert list(pmap(_square, units[:5])) == [0, 1, 4, 9, 16]  # a second map on the same pool
 
 
 def test_worker_pool_hands_out_units_as_threads_free_up():
@@ -557,28 +553,25 @@ def test_worker_pool_hands_out_units_as_threads_free_up():
     # thread can reach, by taking units 1, 2 and 3 in turn
     third_started = threading.Event()
 
-    def work(units):
-        for u in units:
-            if u == 0:
-                assert third_started.wait(timeout=30), "unit 3 never started"
-            if u == 3:
-                third_started.set()
-            yield u
+    def work(u):
+        if u == 0:
+            assert third_started.wait(timeout=30), "unit 3 never started"
+        if u == 3:
+            third_started.set()
+        return u
 
     with mock.patch.object(estimators, "_THREADS", 2), estimators._worker_pool(8) as pmap:
         assert list(pmap(work, list(range(8)))) == list(range(8))
 
 
 def test_worker_pool_holds_a_bounded_number_of_results():
-    # one result per unit and a slow caller: workers take no unit while 4
-    # results per thread wait; each thread may still finish one unit it took
-    # and be computing the next
+    # a slow caller: at most 4 units per thread are queued or wait for it;
+    # each thread may still be computing one more
     started = []
 
-    def work(units):
-        for u in units:
-            started.append(u)
-            yield u
+    def work(u):
+        started.append(u)
+        return u
 
     units = list(range(64))
     with mock.patch.object(estimators, "_THREADS", 2), estimators._worker_pool(len(units)) as pmap:
@@ -589,39 +582,31 @@ def test_worker_pool_holds_a_bounded_number_of_results():
 
 
 def test_worker_pool_raises_a_worker_error_and_stops():
-    def work(units):
-        for u in units:
-            if u == 5:
-                raise ZeroDivisionError(u)
-            yield u
+    started = []
+
+    def work(u):
+        started.append(u)
+        if u == 5:
+            raise ZeroDivisionError(u)
+        return u
 
     before = threading.active_count()
     with mock.patch.object(estimators, "_THREADS", 2):
         with pytest.raises(ZeroDivisionError):
             with estimators._worker_pool(40) as pmap:
                 list(pmap(work, list(range(40))))
+    assert 5 in started and len(started) < 40
     assert threading.active_count() == before
-
-
-def test_worker_pool_raises_when_fn_leaves_units_untaken():
-    def first_only(units):
-        yield next(units)
-
-    with mock.patch.object(estimators, "_THREADS", 2):
-        with pytest.raises(RuntimeError, match="before taking all its units"):
-            with estimators._worker_pool(9) as pmap:
-                list(pmap(first_only, list(range(9))))
 
 
 def test_worker_threads_are_pinned_and_the_calling_thread_is_not():
     mask = os.sched_getaffinity(0)
     seen = {}
 
-    def where(units):
-        for u in units:
-            time.sleep(0.002)
-            seen.setdefault(threading.get_ident(), set()).add(frozenset(os.sched_getaffinity(0)))
-            yield u
+    def where(u):
+        time.sleep(0.002)
+        seen.setdefault(threading.get_ident(), set()).add(frozenset(os.sched_getaffinity(0)))
+        return u
 
     before = threading.active_count()
     with mock.patch.object(estimators, "_THREADS", 2), estimators._worker_pool(16) as pmap:
@@ -638,9 +623,9 @@ def test_worker_threads_are_pinned_and_the_calling_thread_is_not():
 def test_calls_of_at_most_one_unit_map_inline():
     with mock.patch.object(estimators, "_THREADS", 8), mock.patch.object(estimators, "ThreadPoolExecutor", _NoExecutor):
         with estimators._worker_pool(1) as pmap:
-            assert list(pmap(_squares, [3])) == [9]
+            assert list(pmap(_square, [3])) == [9]
         with estimators._worker_pool(0) as pmap:
-            assert list(pmap(_squares, [])) == []
+            assert list(pmap(_square, [])) == []
 
 
 def test_grid_values_equal_when_workers_cannot_be_pinned():

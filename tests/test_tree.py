@@ -1,3 +1,5 @@
+import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +135,23 @@ def test_raw_rejects_nonfinite_values(tmp_path, value):
     flat.astype("<f8").tofile(path)
     with pytest.raises(ValueError):
         TreeSample.from_raw(path)
+
+
+def test_raw_read_keeps_the_array_it_reads(tmp_path):
+    # depth 14: 2^16 - 1 doubles (512 KiB); the array read from the file is
+    # the stored array, with no per-level slices and no second copy
+    s = make_sample(14, seed=3)
+    path = str(tmp_path / "tree.f64")
+    s.to_raw(path)
+    tracemalloc.start()
+    try:
+        back = TreeSample.from_raw(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == s
+    assert peak < 1.5 * os.path.getsize(path)
+    assert not back._values.flags.writeable
 
 
 def test_levels_are_immutable():
