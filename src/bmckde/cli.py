@@ -6,8 +6,8 @@ checks are read from: a flag exists where the schema has its key,
 ``load_config`` copies in the flags, fills every default and validates the
 result, and every file-producing command drops that resolved config as a
 sidecar JSON next to its output, so passing the sidecar back as ``--config``
-reproduces the run.  Output files are written to a temporary name and
-renamed, so failures leave no partial files.
+reproduces the run.  Every output file is written through ``table``, to a
+temporary name then renamed, so failures leave no partial files.
 
 Exit codes: 0 success, 1 config/validation error (any ValueError), 2 runtime
 error.
@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -36,17 +34,16 @@ from .harness import (
     FigureGrid,
     FixedGamma,
     RotSelector,
-    atomic_write,
     gnuplot_script,
     mean_sup_errors,
     run_clt_mu_tri,
     run_clt_p_hat,
     run_figure_reproduction,
     write_figure_outputs,
-    write_text,
 )
 from .oracle import moment_check_table
 from .rot import DEFAULT_LAG, rot_select
+from .table import write_csv, write_rows, write_text
 from .tree import MAX_DEPTH, Population, TreeSample
 
 
@@ -161,7 +158,7 @@ SCHEMAS = {
     "cv-select": {
         "type": "object",
         "properties": {
-            "K": {"type": "integer", "minimum": 2, "default": 5},
+            "K": {"type": "integer", "minimum": 2, "default": CvSelector.K},
             "grid": _AXIS,  # default_grid(depth) when absent, recorded in the sidecar
             "seed": {"type": "integer", "default": 0},
         },
@@ -206,7 +203,7 @@ SCHEMAS = {
     "reproduce-figures": {
         "type": "object",
         "properties": {
-            "case": {"enum": ["1", "2", "case1", "case2"]},
+            "case": {"enum": ["1", "2"]},
             "selector": _SELECTOR,
             "n_list": {**_DEPTHS, "default": [10, 12, 14]},
             "seeds": {"type": "integer", "minimum": 1, "default": 3},
@@ -329,7 +326,7 @@ def _load_tree(path: str) -> TreeSample:
 def _cmd_simulate(args, cfg: dict) -> int:
     init = InitSpec.dirac(cfg["x0"]) if cfg["init"] == "dirac" else InitSpec.stationary()
     sample = simulate(_model(cfg), cfg["n"], init, cfg["seed"])
-    atomic_write(args.out, sample.to_raw if args.out.endswith(".f64") else sample.to_csv)
+    (sample.to_raw if args.out.endswith(".f64") else sample.to_csv)(args.out)
     return 0
 
 
@@ -343,7 +340,7 @@ def _cmd_estimate(args, cfg: dict) -> int:
     bw = BandwidthTriple(*cfg["bw"]) if "bw" in cfg else None
     spec = EstimatorSpec(kind=kind, population=Population(cfg["population"]), h=cfg.get("h"), bw=bw)
     est = evaluate_on_grid(sample, spec, grid)
-    atomic_write(args.out, est.to_csv)
+    est.to_csv(args.out)
     _write_json(args.out + ".meta.json", est.meta)
     return 0
 
@@ -353,8 +350,8 @@ def _cmd_cv_select(args, cfg: dict) -> int:
     res = cv_select(sample, K=cfg["K"], grid=_axis(cfg["grid"]) if "grid" in cfg else None, seed=cfg["seed"])
     if "grid" not in cfg:  # the default candidates depend on the tree's depth
         cfg["grid"] = res.grid.tolist()
-    rows = (f"{float(h)!r},{float(sd)!r},{float(sn)!r}\n" for h, sd, sn in zip(res.grid, res.scores_den, res.scores_num))
-    write_text(args.out, "h,score_den,score_num\n" + "".join(rows))
+    rows = zip(res.grid.tolist(), res.scores_den.tolist(), res.scores_num.tolist())
+    write_csv(args.out, ["h", "score_den", "score_num"], rows)
     selection = {"h_D_hat": res.h_d_hat, "h_N_hat": res.h_n_hat, "K": res.K, "seed": res.seed}
     _write_json(os.path.splitext(args.out)[0] + ".json", selection)
     return 0
@@ -391,21 +388,18 @@ def _cmd_clt_check(args, cfg: dict) -> int:
         threads=cfg["threads"],
     )
     report = (run_clt_p_hat if cfg["statistic"] == "p_hat" else run_clt_mu_tri)(spec)
-    atomic_write(args.out, report.to_csv)
+    report.to_csv(args.out)
     _write_json(os.path.splitext(args.out)[0] + ".summary.json", report.summaries)
     return 0
 
 
 def _cmd_oracle_check(args, cfg: dict) -> int:
     rows = moment_check_table(_model(cfg), cfg["x"], cfg["n"], cfg["m"], cfg["replications"], cfg["seed"])
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["formula", "mc_estimate", "se", "quadrature", "z_score", "status"])
-    for r in rows:
-        w.writerow([r.formula, repr(r.mc_estimate), repr(r.mc_se), repr(r.quadrature), repr(r.z_score), "pass" if r.passed else "FAIL"])
-    print(buf.getvalue(), end="")
+    header = ["formula", "mc_estimate", "se", "quadrature", "z_score", "status"]
+    body = [[r.formula, r.mc_estimate, r.mc_se, r.quadrature, r.z_score, "pass" if r.passed else "FAIL"] for r in rows]
+    write_rows(sys.stdout, header, body)
     if args.out:
-        write_text(args.out, buf.getvalue())
+        write_csv(args.out, header, body)
     return 0 if all(r.passed for r in rows) else 2
 
 
@@ -418,7 +412,6 @@ def _cmd_reproduce_figures(args, cfg: dict) -> int:
         seed=cfg["seed"],
         grid=FigureGrid(**cfg["grid"]),
     )
-    os.makedirs(args.out, exist_ok=True)
     write_figure_outputs(runs, args.out)
     _write_json(os.path.join(args.out, "mean_sup_errors.json"), {str(n): v for n, v in mean_sup_errors(runs).items()})
     if cfg["gnuplot"]:

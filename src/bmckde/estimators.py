@@ -31,6 +31,7 @@ from typing import Any
 import numpy as np
 
 from .kernels import GAUSSIAN, BandwidthTriple
+from .table import write_csv
 from .tree import Population, TreeSample
 
 # Quotient degeneracy threshold: the Gaussian kernel is strictly positive, so
@@ -251,11 +252,7 @@ class DensityEstimate:
 
     def to_csv(self, path: str) -> None:
         cols = ["x"] if self.points.ndim == 1 else ["x", "x0", "x1"]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(cols + ["value"]) + "\n")
-            pts = self.points if self.points.ndim == 2 else self.points[:, None]
-            for row, v in zip(pts, self.values):
-                fh.write(",".join(repr(float(c)) for c in row) + f",{float(v)!r}\n")
+        write_csv(path, cols + ["value"], np.column_stack([self.points, self.values]).tolist())
 
 
 def product_points(xs: np.ndarray, x0s: np.ndarray, x1s: np.ndarray) -> np.ndarray:

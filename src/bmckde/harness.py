@@ -7,12 +7,10 @@ across worker-pool sizes; merging is by replication index.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +21,8 @@ from .cv import DEFAULT_GRID_SIZE, cv_select, default_grid
 from .estimators import EstimatorSpec, evaluate_on_grid, mu_tri_hat, p_hat
 from .kernels import BandwidthTriple
 from .rng import derive_seed
-from .rot import rot_select
+from .rot import DEFAULT_LAG, rot_select
+from .table import write_csv, write_text
 from .tree import Population, tree_size
 from . import estimators, oracle
 
@@ -64,7 +63,7 @@ class CvSelector:
 
 @dataclass(frozen=True)
 class RotSelector:
-    m: int | None = None
+    m: int = DEFAULT_LAG
 
 
 Selector = FixedGamma | CvSelector | RotSelector
@@ -107,13 +106,7 @@ class ExperimentReport:
     summaries: list[dict] = field(default_factory=list)
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["replication", "seed", "n", "h_num", "h_den", "estimate", "stat"])
-            for r in self.rows:
-                w.writerow(
-                    [r.replication, r.seed, r.n, repr(r.h_num), repr(r.h_den), repr(r.estimate), repr(r.stat)]
-                )
+        write_csv(path, [f.name for f in fields(ReplicationRow)], map(astuple, self.rows))
 
 
 def summarize_stats(zs: np.ndarray) -> dict:
@@ -239,17 +232,11 @@ class FigureRun:
     def file_name(self) -> str:
         return f"grid_case{self.case}_{self.selector}_n{self.n}_s{self.seed_index}.csv"
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("x,x0,x1,p_tilde,p_true\n")
-            for pt, pe, pt_true in zip(self.points, self.p_tilde, self.p_true):
-                fh.write(f"{float(pt[0])!r},{float(pt[1])!r},{float(pt[2])!r},{float(pe)!r},{float(pt_true)!r}\n")
-
 
 def case_params(case: str) -> BarParams:
-    if case in ("1", "case1"):
+    if case == "1":
         return CASE1
-    if case in ("2", "case2"):
+    if case == "2":
         return CASE2
     raise ValueError(f"unknown case {case!r}")
 
@@ -308,43 +295,20 @@ def mean_sup_errors(runs: list[FigureRun]) -> dict[int, float]:
     return {n: float(np.mean(v)) for n, v in sorted(by_n.items())}
 
 
-def atomic_write(path: str, write_fn) -> None:
-    """Run write_fn against a temp file, then rename into place."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def write_text(path: str, text: str) -> None:
-    def write(tmp: str) -> None:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(text)
-
-    atomic_write(path, write)
-
-
 def write_figure_outputs(runs: list[FigureRun], out_dir: str) -> list[str]:
     """Grid CSV per run plus one summary CSV, each written atomically; returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for r in runs:
         paths.append(os.path.join(out_dir, r.file_name))
-        atomic_write(paths[-1], r.to_csv)
-
-    summary = io.StringIO()
-    w = csv.writer(summary, lineterminator="\n")
-    w.writerow(["case", "selector", "n", "seed_index", "seed", "h_num", "h_0num", "h_1num", "h_den", "sup_error"])
-    for r in runs:
-        w.writerow(
-            [r.case, r.selector, r.n, r.seed_index, r.seed] + [repr(v) for v in (*r.h_num, r.h_den, r.sup_error)]
-        )
+        grid = np.column_stack([r.points, r.p_tilde, r.p_true]).tolist()
+        write_csv(paths[-1], ["x", "x0", "x1", "p_tilde", "p_true"], grid)
     paths.append(os.path.join(out_dir, "summary.csv"))
-    write_text(paths[-1], summary.getvalue())
+    write_csv(
+        paths[-1],
+        ["case", "selector", "n", "seed_index", "seed", "h_num", "h_0num", "h_1num", "h_den", "sup_error"],
+        ([r.case, r.selector, r.n, r.seed_index, r.seed, *r.h_num, r.h_den, r.sup_error] for r in runs),
+    )
     return paths
 
 

@@ -212,19 +212,17 @@ class RotSelection:
     m: int  # lag of the a_hat estimate
 
 
-def rot_select(sample: TreeSample, m: int | None = None) -> RotSelection:
+def rot_select(sample: TreeSample, m: int = DEFAULT_LAG) -> RotSelection:
     """Practical rule-of-thumb bandwidths from one tree sample.
 
     The sigma_a estimates differ per coordinate: the parent sample drives the
     denominator and the numerator parent coordinate, and the two child
     samples drive their own coordinates.  The regime switch uses a_hat at lag
-    m (generation n-m ancestors, 1/m root), DEFAULT_LAG when m is None.
+    m (generation n-m ancestors, 1/m root).
     """
     n = sample.depth
     if n < 2:
         raise ValueError("need depth >= 2")
-    if m is None:
-        m = DEFAULT_LAG
     a = a_hat(sample, m)
     s_par = sigma_hat_a(sample.level(n))
     s_c0 = sigma_hat_a(sample.level(n + 1)[0::2])

@@ -8,17 +8,23 @@ order: node (k, r) sits at flat index i = 2^k - 1 + r, and its daughters at
 the mothers of one generation or of the whole tree, with their first and
 second daughters, are three slices of the same array, so index sets are
 views and nothing is copied to form them.  The ``.f64`` file format is this
-array written as it is, and it is read back without a copy.
+array written as it is, and it is read back without a copy; the CSV format
+adds each index's generation and rank to it, and is read in one parse.
 """
 
 from __future__ import annotations
 
 import enum
+import os
+import warnings
 from typing import Sequence
 
 import numpy as np
 
+from .table import atomic_write, write_csv
+
 MAX_DEPTH = 62  # rank of the deepest stored level must fit in an int64
+_CSV_HEADER = ("generation", "rank", "value")
 
 
 class Population(enum.Enum):
@@ -40,6 +46,13 @@ def tree_size(n: int) -> int:
 def _level(k: int) -> slice:
     """Flat indices of generation k."""
     return slice((1 << k) - 1, (1 << (k + 1)) - 1)
+
+
+def _index_columns(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(generation, rank) of flat indices 0..size-1: index 2^k - 1 + r is node (k, r)."""
+    levels = np.arange(size.bit_length())
+    k = np.repeat(levels, 1 << levels)[:size]
+    return k, np.arange(size) - (1 << k) + 1
 
 
 def _check_level_count(m: int) -> None:
@@ -115,57 +128,45 @@ class TreeSample:
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("generation,rank,value\n")
-            for k in range(self.depth + 2):
-                for r, v in enumerate(self.level(k)):
-                    fh.write(f"{k},{r},{float(v)!r}\n")
+        k, r = _index_columns(self._values.size)
+        write_csv(path, _CSV_HEADER, zip(k.tolist(), r.tolist(), self._values.tolist()))
 
     @classmethod
     def from_csv(cls, path: str) -> "TreeSample":
-        levels: dict[int, dict[int, float]] = {}
+        """Read a table ``to_csv`` wrote; its rows must be in that order, blank lines aside."""
         with open(path) as fh:
             header = fh.readline().strip()
-            if header != "generation,rank,value":
+            if header != ",".join(_CSV_HEADER):
                 raise ValueError(f"unexpected header {header!r}")
-            for line in fh:
-                if not line.strip():
-                    continue
-                k_s, r_s, v_s = line.split(",")
-                k, r = int(k_s), int(r_s)
-                level = levels.setdefault(k, {})
-                if r in level:
-                    raise ValueError(f"duplicate row for generation {k}, rank {r}")
-                level[r] = float(v_s)
-        if not levels or sorted(levels) != list(range(len(levels))):
-            raise ValueError("levels must be contiguous from 0")
-        out = []
-        for k in range(len(levels)):
-            lv = levels[k]
-            if sorted(lv) != list(range(1 << k)):
-                raise ValueError(f"level {k} incomplete")
-            out.append(np.array([lv[r] for r in range(1 << k)]))
-        return cls._from_file(np.concatenate(out))
+            with warnings.catch_warnings():
+                # a file of no rows reads as no levels, which _from_file rejects
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", dtype=[("k", "i8"), ("r", "i8"), ("v", "f8")], ndmin=1, comments=None)
+        k, r = _index_columns(rows.size)
+        if not (np.array_equal(rows["k"], k) and np.array_equal(rows["r"], r)):
+            raise ValueError("rows must run through generations 0, 1, ... in full, each in rank order, once")
+        return cls._from_file(np.ascontiguousarray(rows["v"]))
 
     def to_raw(self, path: str) -> None:
-        """The stored array as little-endian float64, node (k, r) at index 2^k - 1 + r."""
-        self._values.astype("<f8", copy=False).tofile(path)
+        """The stored array as little-endian float64, node (k, r) at index 2^k - 1 + r, written atomically."""
+        atomic_write(path, self._values.astype("<f8", copy=False).tofile)
 
     @classmethod
     def from_raw(cls, path: str) -> "TreeSample":
-        flat = np.fromfile(path, dtype="<f8").astype(np.float64, copy=False)
-        if flat.size != (1 << flat.size.bit_length()) - 1:
-            raise ValueError("file length is not 2^m - 1 values")
-        return cls._from_file(flat)
+        if os.path.getsize(path) % 8:
+            raise ValueError("file length is not a whole number of float64 values")
+        return cls._from_file(np.fromfile(path, dtype="<f8").astype(np.float64, copy=False))
 
     @classmethod
     def _from_file(cls, values: np.ndarray) -> "TreeSample":
         """A sample adopting ``values``, 2^m - 1 float64 values read in heap order.
 
-        The level count is checked as the constructor checks it.  Values read
-        from outside must also be finite; the constructor does not check
-        this, so trees built in memory are not scanned.
+        Every check on a tree read from a file is here: 2^m - 1 values, the
+        constructor's level-count check, and finite values, which the
+        constructor does not check, so trees built in memory are not scanned.
         """
+        if values.size != (1 << values.size.bit_length()) - 1:
+            raise ValueError("file length is not 2^m - 1 values")
         _check_level_count(values.size.bit_length())
         if not np.isfinite(values).all():
             raise ValueError("tree values must be finite (NaN or infinity found)")

@@ -265,8 +265,10 @@ def test_estimate_nonfinite_bandwidth_exit_1(tmp_path, doc):
         ("tree.f64", b""),
         ("tree.f64", np.zeros(1).astype("<f8").tobytes()),
         ("tree.csv", b"generation,rank,value\n0,0,0.5\n"),
+        ("tree.csv", b"generation,rank,value\n"),
     ],
 )
+@pytest.mark.filterwarnings("error")  # a numpy warning would make the read exit 2
 def test_estimate_rejects_a_tree_file_of_fewer_than_two_levels(tmp_path, capsys, name, content):
     tree_path = tmp_path / name
     tree_path.write_bytes(content)
@@ -274,6 +276,17 @@ def test_estimate_rejects_a_tree_file_of_fewer_than_two_levels(tmp_path, capsys,
     out = str(tmp_path / "o.csv")
     assert main(["estimate", "--tree", str(tree_path), "--config", est_cfg, "--out", out]) == 1
     assert "at least two levels" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_estimate_rejects_a_raw_tree_file_of_stray_bytes(tmp_path, capsys):
+    # seven doubles and three bytes more: not a depth-1 tree with the bytes dropped
+    tree_path = tmp_path / "tree.f64"
+    tree_path.write_bytes(np.zeros(7).astype("<f8").tobytes() + b"\x00" * 3)
+    est_cfg = write_config(tmp_path, "est.json", {"estimator": "mu", "h": 0.3, "grid": [0.0]})
+    out = str(tmp_path / "o.csv")
+    assert main(["estimate", "--tree", str(tree_path), "--config", est_cfg, "--out", out]) == 1
+    assert "whole number of float64 values" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -483,6 +496,8 @@ INVALID = {
     "depth 63": ("simulate", {**SIM, "n": 63}, None, []),
     "clt depth 63": ("clt-check", {**CLT_MIN, "n_list": [63]}, None, []),
     "figure depth 63": ("reproduce-figures", {"case": "1", "selector": {"kind": "rot"}, "n_list": [63]}, None, []),
+    # one spelling per case: "case1" would name the same model as "1"
+    "figure case spelled case1": ("reproduce-figures", {"case": "case1", "selector": {"kind": "rot"}}, None, []),
     "stationary start with x0": ("simulate", {**SIM, "init": "stationary", "x0": 7.5}, None, []),
 }
 # what stderr must say, where more than "error:"
@@ -496,6 +511,7 @@ MESSAGES = {
     "depth 63": "at n: 63 is greater than the maximum of 62",
     "clt depth 63": "at n_list/0: 63 is greater than the maximum of 62",
     "figure depth 63": "at n_list/0: 63 is greater than the maximum of 62",
+    "figure case spelled case1": "at case: 'case1' is not one of ['1', '2']",
     "stationary start with x0": "('x0' was unexpected)",
 }
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bmckde import estimators, harness
+from bmckde import estimators, harness, table
 from bmckde.bar import BarParams
 from bmckde.cv import default_grid
 from bmckde.harness import (
@@ -171,11 +171,12 @@ def test_report_csv_roundtrip(tmp_path):
 
 def test_case_params():
     assert case_params("1") == CASE1
-    assert case_params("case2") == CASE2
+    assert case_params("2") == CASE2
     assert CASE1 == BarParams(0.7, 0.5, 0.0, 0.0, 1.0, 0.0)
     assert CASE2 == BarParams(1.2, 0.7, 0.0, 0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        case_params("3")
+    for other in ("3", "case1", "case2"):  # one spelling per case
+        with pytest.raises(ValueError):
+            case_params(other)
 
 
 def test_figure_runs_shape_and_truth_column(tmp_path):
@@ -224,7 +225,7 @@ def test_figure_outputs_leave_no_partial_file(tmp_path, monkeypatch, failing):
         fh = real_open(path, *args, **kwargs)
         return HalfWritten(fh) if os.path.basename(path).startswith(failing) else fh
 
-    monkeypatch.setattr(harness, "open", open_failing, raising=False)
+    monkeypatch.setattr(table, "open", open_failing, raising=False)
     with pytest.raises(OSError, match="no space"):
         write_figure_outputs(runs, str(tmp_path))
         gnuplot_script(runs, str(tmp_path))

@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,10 +122,26 @@ def test_csv_rejects_duplicate_rows_and_nonfinite_values(tmp_path):
     path = str(tmp_path / "tree.csv")
     make_sample(2, seed=5).to_csv(path)
     lines = Path(path).read_text().splitlines()
-    for bad in (lines + ["2,1,0.25"], lines[:-1] + ["3,7,nan"], lines[:-1] + ["3,7,-inf"]):
+    for bad in (
+        lines + ["2,1,0.25"],
+        lines[:-1] + ["3,7,nan"],
+        lines[:-1] + ["3,7,-inf"],
+        lines[:3] + [lines[4], lines[3]] + lines[5:],  # two rows swapped
+        lines[:6] + lines[7:],  # a row missing
+        lines[:-1] + ["99,7,0.25"],
+        lines[:1],  # the header alone
+    ):
         Path(path).write_text("\n".join(bad) + "\n")
-        with pytest.raises(ValueError):
-            TreeSample.from_csv(path)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy warning fails the read
+                with pytest.raises(ValueError):
+                    TreeSample.from_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # generation 99 is rejected, not allocated
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
