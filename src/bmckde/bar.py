@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import SQRT_2PI
 from .rng import philox_stream, rekey
 from .tree import MAX_DEPTH, TreeSample
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -179,18 +178,18 @@ def q_density(params: BarParams, x, y):
     s = params.sigma
     d0 = (y - params.a0 * x - params.b0) / s
     d1 = (y - params.a1 * x - params.b1) / s
-    return (np.exp(-0.5 * d0**2) + np.exp(-0.5 * d1**2)) / (2.0 * s * _SQRT_2PI)
+    return (np.exp(-0.5 * d0**2) + np.exp(-0.5 * d1**2)) / (2.0 * s * SQRT_2PI)
 
 
 def stationary_mu(params: SymmetricBarParams, x):
     """Invariant density of the lineage chain: centered Gaussian with sd sigma_a."""
     sa = params.sigma_a
-    return np.exp(-0.5 * (np.asarray(x, dtype=float) / sa) ** 2) / (sa * _SQRT_2PI)
+    return np.exp(-0.5 * (np.asarray(x, dtype=float) / sa) ** 2) / (sa * SQRT_2PI)
 
 
 def mu_triangle(params: SymmetricBarParams, x, y, z):
     """Stationary triangle density mu(x) * Q(x, y) * Q(x, z)."""
     s = params.sigma
-    qy = np.exp(-0.5 * ((y - params.a * x) / s) ** 2) / (s * _SQRT_2PI)
-    qz = np.exp(-0.5 * ((z - params.a * x) / s) ** 2) / (s * _SQRT_2PI)
+    qy = np.exp(-0.5 * ((y - params.a * x) / s) ** 2) / (s * SQRT_2PI)
+    qz = np.exp(-0.5 * ((z - params.a * x) / s) ** 2) / (s * SQRT_2PI)
     return stationary_mu(params, x) * qy * qz

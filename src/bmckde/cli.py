@@ -109,7 +109,12 @@ _SELECTOR = {
 
 _H = {"type": "number", "exclusiveMinimum": 0}
 _BW = {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 3, "maxItems": 3}
-_ESTIMATE_SHARED = {"population": {}, "grid": {}}
+_GRID3 = {
+    "type": "object",
+    "properties": {"x": _AXIS, "x0": _AXIS, "x1": _AXIS},
+    "required": ["x", "x0", "x1"],
+    "additionalProperties": False,
+}
 _SIMULATE_SHARED = dict.fromkeys([*_MODEL_PROPS, "seed", "n"], {})
 _DEPTHS = {"type": "array", "items": {"type": "integer", "minimum": 2, "maximum": MAX_DEPTH}, "minItems": 1}
 
@@ -134,31 +139,19 @@ SCHEMAS = {
         "properties": {
             "estimator": {"enum": ["mu", "mu_tri", "p"]},
             "population": {"enum": ["gen", "tree"], "default": "gen"},
-            "grid": {
-                "oneOf": [
-                    _AXIS["oneOf"][0],
-                    _AXIS["oneOf"][1],
-                    {
-                        "type": "object",
-                        "properties": {"x": _AXIS, "x0": _AXIS, "x1": _AXIS},
-                        "required": ["x", "x0", "x1"],
-                        "additionalProperties": False,
-                    },
-                ]
-            },
         },
         "required": ["estimator", "grid"],
-        # mu takes h, mu_tri the triple bw, and p both
+        # mu takes h and one axis, mu_tri the triple bw and three axes, and p both
         "allOf": [
-            _branch(_when("estimator", "mu"), {**_ESTIMATE_SHARED, "h": _H}, ("h",)),
-            _branch(_when("estimator", "mu_tri"), {**_ESTIMATE_SHARED, "bw": _BW}, ("bw",)),
-            _branch(_when("estimator", "p"), {**_ESTIMATE_SHARED, "h": _H, "bw": _BW}, ("h", "bw")),
+            _branch(_when("estimator", "mu"), {"population": {}, "grid": _AXIS, "h": _H}, ("h",)),
+            _branch(_when("estimator", "mu_tri"), {"population": {}, "grid": _GRID3, "bw": _BW}, ("bw",)),
+            _branch(_when("estimator", "p"), {"population": {}, "grid": _GRID3, "h": _H, "bw": _BW}, ("h", "bw")),
         ],
     },
     "cv-select": {
         "type": "object",
         "properties": {
-            "K": {"type": "integer", "minimum": 2, "default": CvSelector.K},
+            "K": _CV_K,
             "grid": _AXIS,  # default_grid(depth) when absent, recorded in the sidecar
             "seed": {"type": "integer", "default": 0},
         },
@@ -333,9 +326,6 @@ def _cmd_simulate(args, cfg: dict) -> int:
 def _cmd_estimate(args, cfg: dict) -> int:
     sample = _load_tree(args.tree)
     kind, g = cfg["estimator"], cfg["grid"]
-    if (kind == "mu") == (isinstance(g, dict) and "x" in g):
-        shape = "one axis ({min:, max:, num:} or a list)" if kind == "mu" else "{x:, x0:, x1:}"
-        raise ConfigError(f"{kind} estimator needs grid = {shape}")
     grid = _axis(g) if kind == "mu" else (_axis(g["x"]), _axis(g["x0"]), _axis(g["x1"]))
     bw = BandwidthTriple(*cfg["bw"]) if "bw" in cfg else None
     spec = EstimatorSpec(kind=kind, population=Population(cfg["population"]), h=cfg.get("h"), bw=bw)

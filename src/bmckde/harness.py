@@ -14,7 +14,6 @@ from dataclasses import astuple, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from .bar import BarParams, InitSpec, SymmetricBarParams, mu_triangle, simulate, transition_density_p
 from .cv import DEFAULT_GRID_SIZE, cv_select, default_grid
@@ -111,6 +110,8 @@ class ExperimentReport:
 
 def summarize_stats(zs: np.ndarray) -> dict:
     """Moments and normal-fit diagnostics of the standardized statistics."""
+    from scipy import stats as sps
+
     zs = np.asarray(zs, dtype=float)
     return {
         "replications": int(zs.size),

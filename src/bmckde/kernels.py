@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_SQRT_PI = math.sqrt(math.pi)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Gaussian normalising constants, shared with the model densities and the selector
+SQRT_PI = math.sqrt(math.pi)
+SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class GaussianKernel:
@@ -25,11 +26,11 @@ class GaussianKernel:
     self-convolution, the N(0, 2) density, is l2_norm_sq * exp(-t^2/4).
     """
 
-    l2_norm_sq = 1.0 / (2.0 * _SQRT_PI)
-    sup_norm = 1.0 / _SQRT_2PI
+    l2_norm_sq = 1.0 / (2.0 * SQRT_PI)
+    sup_norm = 1.0 / SQRT_2PI
 
     def __call__(self, t):
-        return np.exp(-0.5 * np.square(t)) / _SQRT_2PI
+        return np.exp(-0.5 * np.square(t)) / SQRT_2PI
 
 
 GAUSSIAN = GaussianKernel()

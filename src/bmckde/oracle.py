@@ -16,11 +16,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import ndtr
 
-from .bar import BarParams, SymmetricBarParams, mu_triangle, stationary_mu, transition_density_p
-from .kernels import L2_NORM_SQ_CUBED
+from .bar import BarParams, InitSpec, SymmetricBarParams, mu_triangle, simulate_levels, stationary_mu, transition_density_p
+from .kernels import L2_NORM_SQ_CUBED, SQRT_PI
+from .rng import derive_seed
+
+# scipy is imported inside the three functions that call it (here and in
+# harness.summarize_stats): commands that do not verify must not pay for it
 
 GH_NODES = 64  # per Gaussian component; spectral accuracy for smooth integrands
 GRID_NODES = 512
@@ -37,6 +39,8 @@ class GridFunction:
     """
 
     def __init__(self, nodes: np.ndarray, values: np.ndarray, tail_warning: bool = False):
+        from scipy.interpolate import CubicSpline
+
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
         if nodes.ndim != 1 or nodes.shape != values.shape:
@@ -97,6 +101,8 @@ def apply_q(params: BarParams, f: GridFunction, gh_nodes: int = GH_NODES) -> Gri
     some grid node, the result carries a tail warning.  Coinciding components
     (every symmetric model) are integrated once and added twice.
     """
+    from scipy.special import ndtr
+
     t, w = _hermgauss(gh_nodes)
     x = f.nodes
     lo, hi = x[0], x[-1]
@@ -105,7 +111,7 @@ def apply_q(params: BarParams, f: GridFunction, gh_nodes: int = GH_NODES) -> Gri
     for (a, b), count in Counter(((params.a0, params.b0), (params.a1, params.b1))).items():
         mean = a * x + b
         y = mean[:, None] + _SQRT2 * params.sigma * t[None, :]
-        component = (f(y) @ w) / math.sqrt(math.pi)
+        component = (f(y) @ w) / SQRT_PI
         for _ in range(count):
             acc += component
         tail = ndtr((lo - mean) / params.sigma) + ndtr((mean - hi) / params.sigma)
@@ -252,9 +258,6 @@ def moment_check_table(
     empirical mean, second moment, and mixed moment of the generation sums of
     f(y) = y and a Gaussian bump with the corresponding quadrature values.
     """
-    from .bar import InitSpec, simulate_levels
-    from .rng import derive_seed
-
     if not 0 <= m <= n <= 5:
         raise ValueError("need 0 <= m <= n <= 5")
     if replications < 2:

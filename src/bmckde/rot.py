@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import SQRT_PI
 from .tree import TreeSample
 
-_SQRT_PI = math.sqrt(math.pi)
-_PI_SQRT_PI = math.pi * _SQRT_PI
+_PI_SQRT_PI = math.pi * SQRT_PI
 
 # regime thresholds for 2*a^2 in the closed-form bandwidths
 DEN_THRESHOLD = 2.0 ** (-1.0 / 5.0)
@@ -68,8 +68,8 @@ def rot_constants(a: float, sigma: float) -> RotConstants:
     sa = sigma / math.sqrt(1.0 - a * a)
     one_m = 1.0 - a * a
 
-    c1 = 2.0 / _SQRT_PI
-    c2 = 3.0 / (16.0 * _SQRT_PI) * sa**-5
+    c1 = 2.0 / SQRT_PI
+    c2 = 3.0 / (16.0 * SQRT_PI) * sa**-5
     m_as = 2.0 / (math.pi * sigma**2 * a**2 * (1.0 + a) * (1.0 - a) ** 2 * (2.0 * a**2 - 1.0))
 
     c2_tri = 6.0 / (8.0 * _PI_SQRT_PI)
@@ -85,11 +85,11 @@ def rot_constants(a: float, sigma: float) -> RotConstants:
     cross_cc = 1.0 / (32.0 * _PI_SQRT_PI * sa * sigma**6)
 
     b1 = 32.0 / 3.0
-    b2 = _SQRT_PI * a**2 * one_m * (1.0 + a) * (1.0 - a) ** 2 * (2.0 * a**2 - 1.0)
+    b2 = SQRT_PI * a**2 * one_m * (1.0 + a) * (1.0 - a) ** 2 * (2.0 * a**2 - 1.0)
     b3 = 4.0 * one_m**3 / (1.0 + a * a) ** 2
     b4 = 4.0 * one_m**3
     # chosen so c2_tri / M_tri_a_sigma == b5 * sigma_a^4 holds exactly
-    b5 = (3.0 * math.e * _SQRT_PI / 4.0) * a**2 * (1.0 - a) ** 2 * (1.0 + a) * (
+    b5 = (3.0 * math.e * SQRT_PI / 4.0) * a**2 * (1.0 - a) ** 2 * (1.0 + a) * (
         2.0 * a**2 - 1.0
     ) * one_m**2
 

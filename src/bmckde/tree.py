@@ -15,6 +15,7 @@ adds each index's generation and rank to it, and is read in one parse.
 from __future__ import annotations
 
 import enum
+import itertools
 import os
 import warnings
 from typing import Sequence
@@ -25,6 +26,7 @@ from .table import atomic_write, write_csv
 
 MAX_DEPTH = 62  # rank of the deepest stored level must fit in an int64
 _CSV_HEADER = ("generation", "rank", "value")
+_CSV_BLOCK = 1 << 12  # rows held as Python objects at a time while writing
 
 
 class Population(enum.Enum):
@@ -129,7 +131,12 @@ class TreeSample:
 
     def to_csv(self, path: str) -> None:
         k, r = _index_columns(self._values.size)
-        write_csv(path, _CSV_HEADER, zip(k.tolist(), r.tolist(), self._values.tolist()))
+        v = self._values
+        blocks = (
+            zip(k[i : i + _CSV_BLOCK].tolist(), r[i : i + _CSV_BLOCK].tolist(), v[i : i + _CSV_BLOCK].tolist())
+            for i in range(0, v.size, _CSV_BLOCK)
+        )
+        write_csv(path, _CSV_HEADER, itertools.chain.from_iterable(blocks))
 
     @classmethod
     def from_csv(cls, path: str) -> "TreeSample":

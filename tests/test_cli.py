@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import bmckde.cli
 from bmckde.cli import main
 from bmckde.bar import BarParams, InitSpec, simulate
 from bmckde.estimators import mu_hat
@@ -470,6 +473,7 @@ INVALID = {
         [],
     ),
     "mu with a three-axis grid": ("estimate", {**MU, "grid": {"x": [0.0], "x0": [0.0], "x1": [0.0]}}, None, []),
+    "p with a one-axis grid": ("estimate", {**MU, "estimator": "p", "bw": [0.3, 0.3, 0.3]}, None, []),
     "mu with a bandwidth triple": ("estimate", {**MU, "bw": [0.1, 0.1, 0.1]}, None, []),
     "mu_tri with h": (
         "estimate",
@@ -506,6 +510,7 @@ MESSAGES = {
     "seed flag not an integer": "error: --seed: 'abc' is not of type 'integer'",
     "population flag not gen or tree": "error: --population: 'foo' is not one of ['gen', 'tree']",
     "threads flag not an integer": "error: --threads: '2.5' is not of type 'integer'",
+    "p with a one-axis grid": "at grid: [0.0] is not of type 'object'",
     "float seed": "at seed: 2.0 is not of type 'integer'",
     "float depth": "at n: 3.0 is not of type 'integer'",
     "depth 63": "at n: 63 is greater than the maximum of 62",
@@ -558,3 +563,46 @@ def test_each_schema_is_meta_checked_at_most_once_per_process(tmp_path, capsys, 
             assert _run_into(str(tmp_path / command / run), command, config, tree, capsys)[0] == 0
     for command, schema in SCHEMAS.items():
         assert sum(c is schema for c in checked) <= 1, command
+
+
+# -- start-up: a command imports only what it runs -----------------------------
+
+# runs each argv of argv[1] (JSON) through main, then prints the exit codes and
+# whether any scipy module was imported
+_FRESH_MAIN = """
+import json, sys
+from bmckde.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, any(m.partition(".")[0] == "scipy" for m in sys.modules)]))
+"""
+
+
+def _fresh_main(cwd, argvs) -> tuple[list, bool]:
+    src = os.path.dirname(os.path.dirname(bmckde.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_MAIN, json.dumps(argvs)], cwd=cwd, env=env, capture_output=True, text=True, check=True
+    )
+    codes, scipy_loaded = json.loads(done.stdout.splitlines()[-1])
+    return codes, scipy_loaded
+
+
+def test_commands_that_do_not_verify_never_import_scipy(tmp_path):
+    write_config(tmp_path, "sim.json", {**SIM, "n": 6})
+    write_config(tmp_path, "est.json", MU)
+    write_config(tmp_path, "cv.json", {"K": 2, "grid": [0.3, 0.6]})
+    tree = ["--tree", "tree.csv"]
+    codes, scipy_loaded = _fresh_main(
+        tmp_path,
+        [
+            ["simulate", "--config", "sim.json", "--out", "tree.csv"],
+            ["estimate", "--config", "est.json", *tree, "--out", "phat.csv"],
+            ["cv-select", "--config", "cv.json", *tree, "--out", "scores.csv"],
+            ["rot-select", *tree],
+        ],
+    )
+    assert codes == [0, 0, 0, 0]
+    assert not scipy_loaded
+    # the control: oracle-check runs the quadrature, which needs scipy
+    write_config(tmp_path, "oc.json", {"n": 2, "m": 1, "replications": 400, "seed": 1})
+    assert _fresh_main(tmp_path, [["oracle-check", "--config", "oc.json"]]) == ([0], True)

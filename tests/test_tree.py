@@ -171,6 +171,21 @@ def test_raw_read_keeps_the_array_it_reads(tmp_path):
     assert not back._values.flags.writeable
 
 
+def test_csv_write_holds_a_block_of_rows_not_the_table(tmp_path):
+    # depth 14: 2^16 - 1 rows; as Python objects the whole table takes about
+    # 6 MiB, one block of rows and the index columns about 1.5 MiB
+    s = make_sample(14, seed=3)
+    path = str(tmp_path / "tree.csv")
+    tracemalloc.start()
+    try:
+        s.to_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert TreeSample.from_csv(path) == s
+    assert peak < 3 << 20
+
+
 def test_levels_are_immutable():
     s = make_sample(2)
     with pytest.raises(ValueError):
