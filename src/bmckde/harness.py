@@ -109,17 +109,36 @@ class ExperimentReport:
 
 
 def summarize_stats(zs: np.ndarray) -> dict:
-    """Moments and normal-fit diagnostics of the standardized statistics."""
-    from scipy import stats as sps
+    """Moments and normal-fit diagnostics of the standardized statistics.
+
+    Skewness, excess kurtosis and the KS distance to N(0, 1) are scipy's
+    ``stats.skew``, ``stats.kurtosis`` and ``stats.kstest(zs, "norm")``
+    statistic, written out in their operation order so that only
+    ``scipy.special.ndtr`` is loaded; a test pins every field bitwise to
+    scipy's.
+    """
+    from scipy.special import ndtr
 
     zs = np.asarray(zs, dtype=float)
+    n = zs.size
+    mean = np.mean(zs, keepdims=True)
+    d = zs - mean
+    d2 = d**2
+    m2 = np.mean(d2)
+    # scipy's moments are NaN when the spread is below rounding of the mean
+    flat = bool(m2 <= (np.finfo(float).eps * mean) ** 2)
+    skewness = np.nan if flat else np.mean(d2 * d) / m2**1.5
+    kurtosis = np.nan if flat else np.mean(d2**2) / m2**2.0 - 3
+    cdf = ndtr(np.sort(zs))
+    d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
+    d_minus = np.max(cdf - np.arange(0.0, n) / n)
     return {
-        "replications": int(zs.size),
-        "mean": float(np.mean(zs)),
-        "variance": float(np.var(zs, ddof=1)) if zs.size > 1 else float("nan"),
-        "skewness": float(sps.skew(zs)) if zs.size > 2 else float("nan"),
-        "excess_kurtosis": float(sps.kurtosis(zs)) if zs.size > 3 else float("nan"),
-        "ks_distance": float(sps.kstest(zs, "norm").statistic),
+        "replications": n,
+        "mean": float(mean[0]),
+        "variance": float(np.var(zs, ddof=1)) if n > 1 else float("nan"),
+        "skewness": float(skewness) if n > 2 else float("nan"),
+        "excess_kurtosis": float(kurtosis) if n > 3 else float("nan"),
+        "ks_distance": float(d_plus if d_plus > d_minus else d_minus),
     }
 
 

@@ -21,12 +21,14 @@ from .bar import BarParams, InitSpec, SymmetricBarParams, mu_triangle, simulate_
 from .kernels import L2_NORM_SQ_CUBED, SQRT_PI
 from .rng import derive_seed
 
-# scipy is imported inside the three functions that call it (here and in
-# harness.summarize_stats): commands that do not verify must not pay for it
+# scipy is imported inside the functions that call it: scipy.special's ndtr
+# in apply_q (and harness.summarize_stats), scipy.interpolate's CubicSpline
+# in GridFunction; commands that do not verify must not pay for either
 
 GH_NODES = 64  # per Gaussian component; spectral accuracy for smooth integrands
 GRID_NODES = 512
 TAIL_TOLERANCE = 1e-10
+_P_ROWS = 32  # grid nodes per block of _apply_p_outer: a 1 MB buffer at gh = 64
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -123,9 +125,10 @@ def _apply_p_outer(params: BarParams, g1: GridFunction, g2: GridFunction) -> Gri
     """x -> E[g1(child0) * g2(child1) | parent = x], joint over the correlated pair.
 
     The second child's node z[i, j, l] depends on the first child's node j
-    only through rho; at rho = 0 it is built, and g2 evaluated, for one j and
-    broadcast to the full (G, gh, gh) array, so the matmul sees the bytes
-    the full evaluation would give.
+    only through rho; at rho = 0 it is built, and g2 evaluated, for one j.
+    The second child is integrated _P_ROWS grid nodes at a time: each block
+    is broadcast into one reused (_P_ROWS, gh, gh) buffer, so the matmul sees
+    the bytes, and makes the per-matrix calls, of the full evaluation.
     """
     t, w = _hermgauss(GH_NODES)
     x = g1.nodes
@@ -139,8 +142,14 @@ def _apply_p_outer(params: BarParams, g1: GridFunction, g2: GridFunction) -> Gri
         + _SQRT2 * c10 * tj[None, :, None]
         + _SQRT2 * c11 * t[None, None, :]
     )
-    g2z = np.ascontiguousarray(np.broadcast_to(g2(z), (x.size, GH_NODES, GH_NODES)))
-    inner = g2z @ w  # (G, gh) after integrating the second child
+    g2z = g2(z)
+    inner = np.empty((x.size, GH_NODES))  # (G, gh) after integrating the second child
+    part = np.empty((min(_P_ROWS, x.size), GH_NODES, GH_NODES))
+    for i in range(0, x.size, _P_ROWS):
+        rows = inner[i : i + _P_ROWS]
+        block = part[: len(rows)]
+        block[...] = g2z[i : i + _P_ROWS]
+        np.matmul(block, w, out=rows)
     vals = ((g1(y) * inner) @ w) / math.pi
     return GridFunction(x, vals, g1.tail_warning or g2.tail_warning)
 

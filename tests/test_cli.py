@@ -568,29 +568,30 @@ def test_each_schema_is_meta_checked_at_most_once_per_process(tmp_path, capsys, 
 # -- start-up: a command imports only what it runs -----------------------------
 
 # runs each argv of argv[1] (JSON) through main, then prints the exit codes and
-# whether any scipy module was imported
+# the scipy subpackages that were imported
 _FRESH_MAIN = """
 import json, sys
 from bmckde.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, any(m.partition(".")[0] == "scipy" for m in sys.modules)]))
+print(json.dumps([codes, sorted({m.split(".")[1] for m in sys.modules if m.startswith("scipy.")})]))
 """
 
 
-def _fresh_main(cwd, argvs) -> tuple[list, bool]:
+def _fresh_main(cwd, argvs) -> tuple[list, set[str]]:
     src = os.path.dirname(os.path.dirname(bmckde.cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
         [sys.executable, "-c", _FRESH_MAIN, json.dumps(argvs)], cwd=cwd, env=env, capture_output=True, text=True, check=True
     )
     codes, scipy_loaded = json.loads(done.stdout.splitlines()[-1])
-    return codes, scipy_loaded
+    return codes, set(scipy_loaded)
 
 
 def test_commands_that_do_not_verify_never_import_scipy(tmp_path):
     write_config(tmp_path, "sim.json", {**SIM, "n": 6})
     write_config(tmp_path, "est.json", MU)
     write_config(tmp_path, "cv.json", {"K": 2, "grid": [0.3, 0.6]})
+    write_config(tmp_path, "fig.json", {"case": "1", "selector": {"kind": "rot"}, "n_list": [5], "seeds": 1})
     tree = ["--tree", "tree.csv"]
     codes, scipy_loaded = _fresh_main(
         tmp_path,
@@ -599,10 +600,19 @@ def test_commands_that_do_not_verify_never_import_scipy(tmp_path):
             ["estimate", "--config", "est.json", *tree, "--out", "phat.csv"],
             ["cv-select", "--config", "cv.json", *tree, "--out", "scores.csv"],
             ["rot-select", *tree],
+            ["reproduce-figures", "--config", "fig.json", "--out", "figures"],
         ],
     )
-    assert codes == [0, 0, 0, 0]
-    assert not scipy_loaded
-    # the control: oracle-check runs the quadrature, which needs scipy
+    assert codes == [0, 0, 0, 0, 0]
+    assert scipy_loaded == set()
+    # clt-check needs only scipy.special's ndtr for its normal-fit summary
+    write_config(tmp_path, "clt.json", CLT_MIN)
+    codes, scipy_loaded = _fresh_main(tmp_path, [["clt-check", "--config", "clt.json", "--out", "rows.csv"]])
+    assert codes == [0]
+    assert "special" in scipy_loaded
+    assert not scipy_loaded & {"stats", "interpolate"}
+    # the control: oracle-check's quadrature interpolates with scipy's CubicSpline
     write_config(tmp_path, "oc.json", {"n": 2, "m": 1, "replications": 400, "seed": 1})
-    assert _fresh_main(tmp_path, [["oracle-check", "--config", "oc.json"]]) == ([0], True)
+    codes, scipy_loaded = _fresh_main(tmp_path, [["oracle-check", "--config", "oc.json"]])
+    assert codes == [0]
+    assert {"special", "interpolate"} <= scipy_loaded

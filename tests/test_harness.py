@@ -1,8 +1,11 @@
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bmckde import estimators, harness, table
 from bmckde.bar import BarParams
@@ -156,6 +159,45 @@ def test_summarize_stats_fields():
     assert set(s) >= {"mean", "variance", "skewness", "excess_kurtosis", "ks_distance", "replications"}
     assert s["ks_distance"] < 0.08
     assert abs(s["mean"]) < 0.2
+
+
+_SAMPLES = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "heavy_tailed": lambda rng, n: rng.standard_t(3, n),
+    "rounded": lambda rng, n: np.round(rng.standard_normal(n), 1),
+    "constant": lambda rng, n: np.full(n, rng.standard_normal()),
+    "near_constant_offset": lambda rng, n: 1e3 + 1e-8 * rng.standard_normal(n),
+}
+
+
+def scipy_summary(zs):
+    """summarize_stats' fields as scipy.stats and numpy compute them."""
+    from scipy import stats
+
+    n = zs.size
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # scipy's precision-loss warning
+        return {
+            "replications": n,
+            "mean": np.mean(zs),
+            "variance": np.var(zs, ddof=1) if n > 1 else np.nan,
+            "skewness": stats.skew(zs) if n > 2 else np.nan,
+            "excess_kurtosis": stats.kurtosis(zs) if n > 3 else np.nan,
+            "ks_distance": stats.kstest(zs, "norm").statistic,
+        }
+
+
+@given(kind=st.sampled_from(sorted(_SAMPLES)), n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+@example(kind="normal", n=1, seed=0)
+@example(kind="constant", n=5, seed=0)
+@settings(max_examples=200, deadline=None)
+def test_summarize_stats_equals_scipy_stats_bitwise(kind, n, seed):
+    zs = _SAMPLES[kind](np.random.default_rng(seed), n)
+    mine = summarize_stats(zs)
+    ref = scipy_summary(zs)
+    assert set(mine) == set(ref)
+    for key, value in ref.items():
+        assert np.float64(mine[key]).tobytes() == np.float64(value).tobytes(), key
 
 
 def test_report_csv_roundtrip(tmp_path):
