@@ -3,9 +3,11 @@
 Each node value spawns two children
     X_u0 = a0*X_u + b0 + e_u0,   X_u1 = a1*X_u + b1 + e_u1,
 with (e_u0, e_u1) bivariate centered Gaussian, Var = sigma^2 each and
-Cov = rho, independent across nodes.  The symmetric sub-case
-(a0 = a1 = a, b = 0, rho = 0) has closed-form invariant densities and is the
-reference model for bandwidth selection and the distributional checks.
+Cov = rho, independent across nodes.  The stationary symmetric sub-case
+(a0 = a1 = a with |a| < 1, b = 0, rho = 0) has closed-form invariant
+densities and is the reference model for bandwidth selection and the
+distributional checks; ``BarParams.sigma_a`` is the one place that decides
+it, so every function of that sub-case takes a ``BarParams``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .kernels import SQRT_2PI
 from .rng import philox_stream, rekey
-from .tree import MAX_DEPTH, TreeSample
+from .tree import MAX_DEPTH, TreeSample, level_slice
 
 
 @dataclass(frozen=True)
@@ -45,27 +47,16 @@ class BarParams:
     def is_symmetric(self) -> bool:
         return self.a0 == self.a1 and self.b0 == 0.0 and self.b1 == 0.0 and self.rho == 0.0
 
-
-@dataclass(frozen=True)
-class SymmetricBarParams:
-    """Symmetric stationary sub-case: a0 = a1 = a with |a| < 1, b = 0, rho = 0."""
-
-    a: float
-    sigma: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not abs(self.a) < 1:
-            raise ValueError("need |a| < 1 so the invariant variance is finite")
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError("sigma must be positive and finite")
-
     @property
     def sigma_a(self) -> float:
-        """Standard deviation of the invariant law, sigma / sqrt(1 - a^2)."""
-        return self.sigma / math.sqrt(1.0 - self.a**2)
+        """Standard deviation of the invariant law, sigma / sqrt(1 - a^2).
 
-    def to_bar_params(self) -> BarParams:
-        return BarParams(self.a, self.a, 0.0, 0.0, self.sigma, 0.0)
+        Defined only in the stationary symmetric sub-case; any other model
+        raises ``ValueError``.
+        """
+        if not (self.is_symmetric and abs(self.a0) < 1):
+            raise ValueError("need the stationary symmetric sub-case (a0 = a1 with |a| < 1, b = 0, rho = 0)")
+        return self.sigma / math.sqrt(1.0 - self.a0**2)
 
 
 class InitKind(enum.Enum):
@@ -98,9 +89,10 @@ def simulate(params: BarParams, n: int, init: InitSpec, seed: int) -> TreeSample
     (params, n, init, seed): bit-identical across runs and worker counts.
     Correlated pairs come from the Cholesky split
     e_u0 = sigma*Z0, e_u1 = (rho/sigma)*Z0 + sqrt(sigma^2 - rho^2/sigma^2)*Z1.
-    The tree is built in place in the array the sample keeps.
+    The tree is built in place in the array the sample keeps, which
+    rejects a tree with non-finite values (a model that overflows).
     """
-    return TreeSample._adopt(_simulate_trees(params, n, init, [seed])[0])
+    return TreeSample(_simulate_trees(params, n, init, [seed])[0])
 
 
 def simulate_levels(params: BarParams, n: int, init: InitSpec, seeds) -> list[np.ndarray]:
@@ -111,18 +103,18 @@ def simulate_levels(params: BarParams, n: int, init: InitSpec, seeds) -> list[np
     tree per row.
     """
     trees = _simulate_trees(params, n, init, seeds)
-    return [trees[:, (1 << k) - 1 : (1 << (k + 1)) - 1] for k in range(n + 2)]
+    return [trees[:, level_slice(k)] for k in range(n + 2)]
 
 
 def _simulate_trees(params: BarParams, n: int, init: InitSpec, seeds) -> np.ndarray:
     """One heap-ordered tree per seed, an (R, 2^(n+2) - 1) array.
 
-    Generation k of row r is the slice [2^k - 1, 2^(k+1) - 1), as in
-    ``TreeSample``.  One bit generator is re-keyed to each (seed, stream) in
-    turn, each seed reaching ``rekey`` as given, and each generation of all
-    rows is one pass of the per-tree expressions, written straight into its
-    slice: the children of parent j of a generation are its entries 2j and
-    2j+1 in the next.
+    Generation k of row r is ``level_slice(k)``, as in ``TreeSample``.  One
+    bit generator is re-keyed to each (seed, stream) in turn, each seed
+    reaching ``rekey`` as given, and each generation of all rows is one pass
+    of the per-tree expressions, written straight into its slice: the
+    children of parent j of a generation are its entries 2j and 2j+1 in the
+    next.
     """
     seeds = list(seeds)
     if not seeds:
@@ -131,8 +123,8 @@ def _simulate_trees(params: BarParams, n: int, init: InitSpec, seeds) -> np.ndar
         raise ValueError("depth must be >= 0")
     if n > MAX_DEPTH:
         raise OverflowError(f"depth {n} exceeds limit ({MAX_DEPTH})")
-    if init.kind is InitKind.STATIONARY and not params.is_symmetric:
-        raise ValueError("stationary initialization requires the symmetric sub-case")
+    # a stationary root exists only where sigma_a does, which raises otherwise
+    root_sd = params.sigma_a if init.kind is InitKind.STATIONARY else None
 
     reps = len(seeds)
     trees = np.empty((reps, (1 << (n + 2)) - 1))
@@ -140,19 +132,18 @@ def _simulate_trees(params: BarParams, n: int, init: InitSpec, seeds) -> np.ndar
     if init.kind is InitKind.DIRAC:
         trees[:, 0] = float(init.x0)
     else:
-        sym = SymmetricBarParams(params.a0, params.sigma)
         z = np.empty(reps)
         for r, seed in enumerate(seeds):
             rekey(gen, seed, 0).standard_normal(out=z[r : r + 1])
-        trees[:, 0] = sym.sigma_a * z
+        trees[:, 0] = root_sd * z
 
     sigma, rho = params.sigma, params.rho
     c10 = rho / sigma
     c11 = math.sqrt(sigma**2 - rho**2 / sigma**2)
 
     for k in range(n + 1):
-        parents = trees[:, (1 << k) - 1 : (1 << (k + 1)) - 1]
-        children = trees[:, (1 << (k + 1)) - 1 : (1 << (k + 2)) - 1]
+        parents = trees[:, level_slice(k)]
+        children = trees[:, level_slice(k + 1)]
         z = np.empty((reps, 1 << k, 2))
         for r, seed in enumerate(seeds):
             rekey(gen, seed, k + 1).standard_normal(out=z[r])
@@ -181,15 +172,15 @@ def q_density(params: BarParams, x, y):
     return (np.exp(-0.5 * d0**2) + np.exp(-0.5 * d1**2)) / (2.0 * s * SQRT_2PI)
 
 
-def stationary_mu(params: SymmetricBarParams, x):
+def stationary_mu(params: BarParams, x):
     """Invariant density of the lineage chain: centered Gaussian with sd sigma_a."""
     sa = params.sigma_a
     return np.exp(-0.5 * (np.asarray(x, dtype=float) / sa) ** 2) / (sa * SQRT_2PI)
 
 
-def mu_triangle(params: SymmetricBarParams, x, y, z):
+def mu_triangle(params: BarParams, x, y, z):
     """Stationary triangle density mu(x) * Q(x, y) * Q(x, z)."""
     s = params.sigma
-    qy = np.exp(-0.5 * ((y - params.a * x) / s) ** 2) / (s * SQRT_2PI)
-    qz = np.exp(-0.5 * ((z - params.a * x) / s) ** 2) / (s * SQRT_2PI)
+    qy = np.exp(-0.5 * ((y - params.a0 * x) / s) ** 2) / (s * SQRT_2PI)
+    qz = np.exp(-0.5 * ((z - params.a0 * x) / s) ** 2) / (s * SQRT_2PI)
     return stationary_mu(params, x) * qy * qz

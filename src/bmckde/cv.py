@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import _worker_pool
-from .kernels import GAUSSIAN, L2_NORM_SQ_CUBED
+from .kernels import L2_NORM_SQ, L2_NORM_SQ_CUBED, SUP_NORM
 from .rng import FOLD_STREAM, philox_stream
 from .tree import Population, TreeSample
 
@@ -95,9 +95,9 @@ def j_hat_den(sample: TreeSample, partition: FoldPartition, k: int, h: float) ->
         raise ValueError("fold and complement must both be nonempty")
     m = rest.size
     diff = (rest[:, None] - rest[None, :]) / h
-    integral = GAUSSIAN.l2_norm_sq * float(np.sum(np.exp(-0.25 * diff**2))) / (m * m * h)
+    integral = L2_NORM_SQ * float(np.sum(np.exp(-0.25 * diff**2))) / (m * m * h)
     cross = (held[:, None] - rest[None, :]) / h
-    leave_out = GAUSSIAN.sup_norm * float(np.sum(np.exp(-0.5 * cross**2))) / (held.size * m * h)
+    leave_out = SUP_NORM * float(np.sum(np.exp(-0.5 * cross**2))) / (held.size * m * h)
     return integral - 2.0 * leave_out
 
 
@@ -115,7 +115,7 @@ def j_hat_num(sample: TreeSample, partition: FoldPartition, k: int, h: float) ->
     d2 = _sq_dists(rest, rest) / h**2
     integral = L2_NORM_SQ_CUBED * float(np.sum(np.exp(-0.25 * d2))) / (m * m * h**3)
     c2 = _sq_dists(held, rest) / h**2
-    leave_out = GAUSSIAN.sup_norm**3 * float(np.sum(np.exp(-0.5 * c2))) / (held.shape[0] * m * h**3)
+    leave_out = SUP_NORM**3 * float(np.sum(np.exp(-0.5 * c2))) / (held.shape[0] * m * h**3)
     return integral - 2.0 * leave_out
 
 
@@ -263,6 +263,6 @@ def _fold_scores(sample: TreeSample, partition: FoldPartition, grid: np.ndarray)
     cross = rows - diag  # held-out rows against the complement
     m = bounds[-1] - sizes  # complement sizes
     h, h3 = grid[:, None], grid[:, None] ** 3
-    j_den = GAUSSIAN.l2_norm_sq * comp[0] / (m * m * h) - 2.0 * GAUSSIAN.sup_norm * cross[1] / (sizes * m * h)
-    j_num = L2_NORM_SQ_CUBED * comp[2] / (m * m * h3) - 2.0 * GAUSSIAN.sup_norm**3 * cross[3] / (sizes * m * h3)
+    j_den = L2_NORM_SQ * comp[0] / (m * m * h) - 2.0 * SUP_NORM * cross[1] / (sizes * m * h)
+    j_num = L2_NORM_SQ_CUBED * comp[2] / (m * m * h3) - 2.0 * SUP_NORM**3 * cross[3] / (sizes * m * h3)
     return j_den.T, j_num.T

@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from .kernels import GAUSSIAN, BandwidthTriple
+from .kernels import BandwidthTriple, gaussian
 from .table import write_csv
 from .tree import Population, TreeSample
 
@@ -145,12 +145,12 @@ def _kernel_sums(columns, bandwidths, axes) -> np.ndarray:
 
     def fill_rows(block):
         rows, ax, col, h = block
-        rows[...] = GAUSSIAN((ax[:, None] - col[None, :]) / h)
+        rows[...] = gaussian((ax[:, None] - col[None, :]) / h)
 
     def fill_products(unit):
         a0, i0 = unit
         if getattr(mine, "lead_at", None) != a0:  # a thread may take any unit next
-            mine.lead = GAUSSIAN((axes[0][a0 : a0 + step, None] - columns[0][None, :]) / bandwidths[0])
+            mine.lead = gaussian((axes[0][a0 : a0 + step, None] - columns[0][None, :]) / bandwidths[0])
             mine.lead_at = a0
         if not trailing:
             out[a0 : a0 + step, 0] = np.sum(mine.lead, axis=-1)

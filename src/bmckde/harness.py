@@ -11,11 +11,11 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .bar import BarParams, InitSpec, SymmetricBarParams, mu_triangle, simulate, transition_density_p
+from .bar import BarParams, InitSpec, mu_triangle, simulate, transition_density_p
 from .cv import DEFAULT_GRID_SIZE, cv_select, default_grid
 from .estimators import EstimatorSpec, evaluate_on_grid, mu_tri_hat, p_hat
 from .kernels import BandwidthTriple
@@ -33,6 +33,7 @@ CASE2 = BarParams(1.2, 0.7, 0.0, 0.0, 1.0, 0.0)  # supercritical first branch
 class FixedGamma:
     """Deterministic bandwidth h = 2^(-n*gamma), gamma in (0, 1/3)."""
 
+    kind: ClassVar[str] = "fixed"
     gamma: float
 
     def __post_init__(self) -> None:
@@ -46,6 +47,7 @@ class CvSelector:
     ``grid_size`` default ones (``DEFAULT_GRID_SIZE`` when neither is given),
     never both."""
 
+    kind: ClassVar[str] = "cv"
     K: int = 5
     grid_size: int | None = None
     grid: tuple[float, ...] | None = None
@@ -62,6 +64,7 @@ class CvSelector:
 
 @dataclass(frozen=True)
 class RotSelector:
+    kind: ClassVar[str] = "rot"
     m: int = DEFAULT_LAG
 
 
@@ -170,15 +173,14 @@ def _clt_replication(args) -> tuple:
 
 
 def _run_clt(spec: ExperimentSpec, statistic: str) -> ExperimentReport:
-    if not spec.model.is_symmetric or not abs(spec.model.a0) < 1:
-        raise ValueError("distributional checks need the stationary symmetric sub-case")
-    sym = SymmetricBarParams(spec.model.a0, spec.model.sigma)
     x, x0, x1 = spec.point
+    # true_variance_clt raises outside the stationary symmetric sub-case,
+    # before any replication runs
+    sigma2 = oracle.true_variance_clt(spec.model, x, x0, x1, statistic)
     if statistic == "p_hat":
         truth = float(transition_density_p(spec.model, x, x0, x1))
     else:
-        truth = float(mu_triangle(sym, x, x0, x1))
-    sigma2 = oracle.true_variance_clt(sym, x, x0, x1, statistic)
+        truth = float(mu_triangle(spec.model, x, x0, x1))
     # deepest depths first, so a pool's last chunks are its cheapest
     order = sorted(range(len(spec.n_list)), key=lambda i: spec.n_list[i], reverse=True)
     tasks = [
@@ -276,7 +278,6 @@ def run_figure_reproduction(
     sup distance to the true transition density on the same grid.
     """
     params = case_params(case)
-    sel_name = type(selector).__name__.lower().removesuffix("selector")
     runs: list[FigureRun] = []
     for n in n_list:
         for s in range(n_seeds):
@@ -292,7 +293,7 @@ def run_figure_reproduction(
             runs.append(
                 FigureRun(
                     case=case,
-                    selector=sel_name,
+                    selector=selector.kind,
                     n=n,
                     seed_index=s,
                     seed=rep_seed,

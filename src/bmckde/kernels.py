@@ -1,8 +1,9 @@
-"""Smoothing kernel and bandwidth containers.
+"""Gaussian smoothing kernel, its constants, and bandwidth containers.
 
-Only the Gaussian kernel is implemented; everything downstream reaches it
-through this type so other kernels can slot in later.  Strict positivity of
-the Gaussian guarantees the density estimators never vanish, which keeps the
+Every estimator and both bandwidth selectors use the Gaussian kernel, and
+the CV sweep and the rule-of-thumb constants are written for it, so it is a
+function and module constants rather than a type.  Strict positivity of the
+Gaussian guarantees the density estimators never vanish, which keeps the
 quotient estimator well defined away from underflow.
 """
 
@@ -17,26 +18,17 @@ import numpy as np
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-
-class GaussianKernel:
-    """Standard Gaussian density as smoothing kernel.
-
-    Closed-form constants used by the selection rules and the variance
-    formulas: L2 norm squared 1/(2*sqrt(pi)) and sup norm 1/sqrt(2*pi).  The
-    self-convolution, the N(0, 2) density, is l2_norm_sq * exp(-t^2/4).
-    """
-
-    l2_norm_sq = 1.0 / (2.0 * SQRT_PI)
-    sup_norm = 1.0 / SQRT_2PI
-
-    def __call__(self, t):
-        return np.exp(-0.5 * np.square(t)) / SQRT_2PI
-
-
-GAUSSIAN = GaussianKernel()
-
+# integral of K0^2, 1/(2*sqrt(pi)); the self-convolution, the N(0, 2)
+# density, is L2_NORM_SQ * exp(-t^2/4)
+L2_NORM_SQ = 1.0 / (2.0 * SQRT_PI)
+SUP_NORM = 1.0 / SQRT_2PI  # K0(0), 1/sqrt(2*pi)
 # (integral of K0^2)^3, the constant in all three limit variances
-L2_NORM_SQ_CUBED = GAUSSIAN.l2_norm_sq**3
+L2_NORM_SQ_CUBED = L2_NORM_SQ**3
+
+
+def gaussian(t):
+    """Standard Gaussian density, the smoothing kernel K0."""
+    return np.exp(-0.5 * np.square(t)) / SQRT_2PI
 
 
 @dataclass(frozen=True)

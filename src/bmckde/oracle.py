@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bar import BarParams, InitSpec, SymmetricBarParams, mu_triangle, simulate_levels, stationary_mu, transition_density_p
+from .bar import BarParams, InitSpec, mu_triangle, simulate_levels, stationary_mu, transition_density_p
 from .kernels import L2_NORM_SQ_CUBED, SQRT_PI
 from .rng import derive_seed
 
@@ -56,9 +56,6 @@ class GridFunction:
 
     def __call__(self, x):
         return self._spline(np.clip(x, self.nodes[0], self.nodes[-1]))
-
-    def map_values(self, fn) -> "GridFunction":
-        return GridFunction(self.nodes, fn(self.values), self.tail_warning)
 
 
 def default_grid(params: BarParams) -> np.ndarray:
@@ -170,36 +167,34 @@ def expected_generation_sum(params: BarParams, f: GridFunction, x: float, n: int
 def second_moment_generation_sum(params: BarParams, f: GridFunction, x: float, n: int) -> float:
     """Second moment of the generation-n sum of f started from x.
 
-    2^n Q^n(f^2)(x) plus the over-pairs term
-    sum_k 2^(n+k) Q^(n-k-1)(P(Q^k f (x) Q^k f))(x).
+    The mixed moment at g = f and m = n: 2^n Q^n(f^2)(x) plus the over-pairs
+    term sum_k 2^(n+k) Q^(n-k-1)(P(Q^k f (x) Q^k f))(x).
     """
     if not 0 <= n <= 5:
         raise ValueError("n must be in [0, 5]")
-    term = 2**n * _iterate_q(params, f.map_values(np.square), n)(x)
-    qk = f
-    for k in range(n):
-        if k:
-            qk = apply_q(params, qk)
-        pk = _apply_p_outer(params, qk, qk)
-        term += 2 ** (n + k) * _iterate_q(params, pk, n - k - 1)(x)
-    return float(term)
+    return mixed_moment(params, f, f, x, n, n)
 
 
 def mixed_moment(
     params: BarParams, f: GridFunction, g: GridFunction, x: float, n: int, m: int
 ) -> float:
-    """Expectation of (generation-n sum of f) * (generation-m sum of g), m <= n."""
+    """Expectation of (generation-n sum of f) * (generation-m sum of g), m <= n.
+
+    When Q^(n-m) f is g itself (the second moment) the two iterates are one,
+    and the symmetrized pair operator is the plain one.
+    """
     if not 0 <= m <= n <= 5:
         raise ValueError("need 0 <= m <= n <= 5")
     qnm_f = _iterate_q(params, f, n - m)
+    same = qnm_f is g
     lead = GridFunction(g.nodes, g.values * qnm_f.values, g.tail_warning or qnm_f.tail_warning)
     term = 2**n * _iterate_q(params, lead, m)(x)
     qk_g, qk_f = g, qnm_f
     for k in range(m):
         if k:
             qk_g = apply_q(params, qk_g)
-            qk_f = apply_q(params, qk_f)
-        pk = _apply_p_sym_outer(params, qk_g, qk_f)
+            qk_f = qk_g if same else apply_q(params, qk_f)
+        pk = _apply_p_outer(params, qk_g, qk_g) if same else _apply_p_sym_outer(params, qk_g, qk_f)
         term += 2 ** (n + k) * _iterate_q(params, pk, m - k - 1)(x)
     return float(term)
 
@@ -211,17 +206,19 @@ def _iterate_q(params: BarParams, f: GridFunction, times: int) -> GridFunction:
     return g
 
 
-def true_variance_clt(params: SymmetricBarParams, x: float, x0: float, x1: float, statistic: str = "p_hat") -> float:
+def true_variance_clt(params: BarParams, x: float, x0: float, x1: float, statistic: str = "p_hat") -> float:
     """Limit variance of the standardized estimator at the given point.
 
     statistic "p_hat":   ||K0||_2^6 * P(x,x0,x1) / mu(x)
     statistic "mu_tri":  ||K0||_2^6 * mu_tri(x,x0,x1) under the estimator's
                          own sqrt(|A_n| h^3) normalization (same for both
                          populations)
+
+    Defined in the stationary symmetric sub-case only: ``stationary_mu``
+    reads ``params.sigma_a``, which raises ``ValueError`` for any other model.
     """
-    bar = params.to_bar_params()
     if statistic == "p_hat":
-        p = transition_density_p(bar, x, x0, x1)
+        p = transition_density_p(params, x, x0, x1)
         return float(L2_NORM_SQ_CUBED * p / stationary_mu(params, x))
     if statistic == "mu_tri":
         return L2_NORM_SQ_CUBED * float(mu_triangle(params, x, x0, x1))

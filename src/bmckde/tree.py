@@ -7,9 +7,11 @@ order: node (k, r) sits at flat index i = 2^k - 1 + r, and its daughters at
 2i + 1 and 2i + 2.  Generation k is the slice [2^k - 1, 2^(k+1) - 1), and
 the mothers of one generation or of the whole tree, with their first and
 second daughters, are three slices of the same array, so index sets are
-views and nothing is copied to form them.  The ``.f64`` file format is this
-array written as it is, and it is read back without a copy; the CSV format
-adds each index's generation and rank to it, and is read in one parse.
+views and nothing is copied to form them.  ``TreeSample`` has one
+constructor, which adopts such an array and makes every check a tree gets,
+whether it was simulated or read.  The ``.f64`` file format is this array
+written as it is, and it is read back without a copy; the CSV format adds
+each index's generation and rank to it, and is read in one parse.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import enum
 import itertools
 import os
 import warnings
-from typing import Sequence
 
 import numpy as np
 
@@ -45,8 +46,8 @@ def tree_size(n: int) -> int:
     return (1 << (n + 1)) - 1
 
 
-def _level(k: int) -> slice:
-    """Flat indices of generation k."""
+def level_slice(k: int) -> slice:
+    """Flat indices of generation k in a heap-ordered array."""
     return slice((1 << k) - 1, (1 << (k + 1)) - 1)
 
 
@@ -57,47 +58,34 @@ def _index_columns(size: int) -> tuple[np.ndarray, np.ndarray]:
     return k, np.arange(size) - (1 << k) + 1
 
 
-def _check_level_count(m: int) -> None:
-    if m < 2:
-        raise ValueError("need levels 0..depth+1, so at least two levels")
-    if m - 2 > MAX_DEPTH:
-        raise OverflowError(f"depth {m - 2} exceeds limit ({MAX_DEPTH})")
-
-
 class TreeSample:
     """All realized values of a tree sample, levels 0..depth+1, in heap order.
 
-    ``levels[k]`` holds the 2^k generation-k values in rank order; the
-    constructor copies them once into one read-only array, node (k, r) at
-    flat index 2^k - 1 + r.  One level past the nominal depth is stored so
-    every node up to generation ``depth`` has both children available, i.e.
-    every mother-daughters triangle with parent in the observed index set is
-    complete.  Levels and index sets are read-only views of that array, so
-    instances are immutable and safe to share across workers.
+    One level past the nominal depth is stored so every node up to
+    generation ``depth`` has both children available, i.e. every
+    mother-daughters triangle with parent in the observed index set is
+    complete.  Levels and index sets are read-only views of the stored
+    array, so instances are immutable and safe to share across workers.
     """
 
-    def __init__(self, levels: Sequence[np.ndarray]):
-        _check_level_count(len(levels))
-        values = np.empty((1 << len(levels)) - 1)
-        for k, lv in enumerate(levels):
-            arr = np.asarray(lv, dtype=np.float64)
-            if arr.ndim != 1 or arr.shape[0] != (1 << k):
-                raise ValueError(f"level {k} must hold exactly 2^{k} values")
-            values[_level(k)] = arr
+    def __init__(self, values: np.ndarray):
+        """A sample over ``values``, 2^m - 1 finite values in heap order.
+
+        A float64 array is adopted, not copied: it is made read-only, and
+        the caller must not keep a writable alias of it.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 1 or values.size != (1 << values.size.bit_length()) - 1:
+            raise ValueError("need a 1-d array of 2^m - 1 values in heap order")
+        m = values.size.bit_length()
+        if m < 2:
+            raise ValueError("need levels 0..depth+1, so at least two levels")
+        if m - 2 > MAX_DEPTH:
+            raise OverflowError(f"depth {m - 2} exceeds limit ({MAX_DEPTH})")
+        if not np.isfinite(values).all():
+            raise ValueError("tree values must be finite (NaN or infinity found)")
         values.flags.writeable = False
         self._values = values
-
-    @classmethod
-    def _adopt(cls, values: np.ndarray) -> "TreeSample":
-        """A sample over ``values``, 2^m - 1 float64 values in heap order, not copied.
-
-        ``values`` is made read-only; the caller must not keep a writable
-        alias of it.
-        """
-        sample = cls.__new__(cls)
-        values.flags.writeable = False
-        sample._values = values
-        return sample
 
     @property
     def depth(self) -> int:
@@ -106,7 +94,7 @@ class TreeSample:
     def level(self, k: int) -> np.ndarray:
         if not 0 <= k <= self.depth + 1:
             raise ValueError(f"level {k} not stored (have 0..{self.depth + 1})")
-        return self._values[_level(k)]
+        return self._values[level_slice(k)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreeSample):
@@ -146,13 +134,13 @@ class TreeSample:
             if header != ",".join(_CSV_HEADER):
                 raise ValueError(f"unexpected header {header!r}")
             with warnings.catch_warnings():
-                # a file of no rows reads as no levels, which _from_file rejects
+                # a file of no rows reads as no levels, which the constructor rejects
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 rows = np.loadtxt(fh, delimiter=",", dtype=[("k", "i8"), ("r", "i8"), ("v", "f8")], ndmin=1, comments=None)
         k, r = _index_columns(rows.size)
         if not (np.array_equal(rows["k"], k) and np.array_equal(rows["r"], r)):
             raise ValueError("rows must run through generations 0, 1, ... in full, each in rank order, once")
-        return cls._from_file(np.ascontiguousarray(rows["v"]))
+        return cls(np.ascontiguousarray(rows["v"]))
 
     def to_raw(self, path: str) -> None:
         """The stored array as little-endian float64, node (k, r) at index 2^k - 1 + r, written atomically."""
@@ -162,19 +150,4 @@ class TreeSample:
     def from_raw(cls, path: str) -> "TreeSample":
         if os.path.getsize(path) % 8:
             raise ValueError("file length is not a whole number of float64 values")
-        return cls._from_file(np.fromfile(path, dtype="<f8").astype(np.float64, copy=False))
-
-    @classmethod
-    def _from_file(cls, values: np.ndarray) -> "TreeSample":
-        """A sample adopting ``values``, 2^m - 1 float64 values read in heap order.
-
-        Every check on a tree read from a file is here: 2^m - 1 values, the
-        constructor's level-count check, and finite values, which the
-        constructor does not check, so trees built in memory are not scanned.
-        """
-        if values.size != (1 << values.size.bit_length()) - 1:
-            raise ValueError("file length is not 2^m - 1 values")
-        _check_level_count(values.size.bit_length())
-        if not np.isfinite(values).all():
-            raise ValueError("tree values must be finite (NaN or infinity found)")
-        return cls._adopt(values)
+        return cls(np.fromfile(path, dtype="<f8"))

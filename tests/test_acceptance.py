@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from bmckde.bar import BarParams, InitSpec, SymmetricBarParams, simulate, transition_density_p
+from bmckde.bar import BarParams, InitSpec, simulate, transition_density_p
 from bmckde.cv import cv_select, j_hat_den, j_hat_num, make_folds
 from bmckde.harness import (
     CASE1,
@@ -127,7 +127,7 @@ def test_criterion_3_clt_p_hat():
     t0 = time.time()
     report_obj = run_clt_p_hat(_clt_spec(Population.GEN_N))
     s = report_obj.summaries[0]
-    sigma2 = true_variance_clt(SymmetricBarParams(0.5, 1.0), 0, 0, 0, "p_hat")
+    sigma2 = true_variance_clt(BarParams(0.5, 0.5, sigma=1.0), 0, 0, 0, "p_hat")
     assert sigma2 == pytest.approx(0.010341, abs=2e-6)
     raw_variance = s["variance"] * sigma2  # stats are sigma-standardized
     # finite-depth smoothing bias of the statistic at n = 12, h = 2^(-0.2 n)

@@ -8,7 +8,6 @@ from bmckde.bar import (
     BarParams,
     InitKind,
     InitSpec,
-    SymmetricBarParams,
     mu_triangle,
     q_density,
     simulate,
@@ -33,13 +32,25 @@ def test_params_validation():
     with pytest.raises(ValueError):
         BarParams(0.5, 0.5, sigma=1.0, rho=1.0)  # |rho| < sigma^2 required
     with pytest.raises(ValueError):
-        SymmetricBarParams(a=1.0)
+        BarParams(1.0, 1.0).sigma_a
     BarParams(1.2, 0.7)  # coefficients beyond [-1, 1] are allowed
 
 
 def test_sigma_a():
-    sym = SymmetricBarParams(0.5, 1.0)
+    sym = BarParams(0.5, 0.5, sigma=1.0)
     assert sym.sigma_a == pytest.approx(1.0 / math.sqrt(0.75), rel=1e-12)
+
+
+@pytest.mark.parametrize("params", [BarParams(1.0, 1.0), BarParams(0.5, 0.4)])
+def test_sigma_a_only_in_the_stationary_symmetric_sub_case(params):
+    with pytest.raises(ValueError, match="symmetric sub-case"):
+        params.sigma_a
+
+
+def test_simulate_rejects_a_model_that_overflows():
+    # 1e200 * 1e200 is infinite by generation 2, and a tree must be finite
+    with pytest.raises(ValueError, match="finite"):
+        simulate(BarParams(1e200, 1e200), 3, InitSpec.dirac(0.0), 0)
 
 
 def test_simulate_is_seed_deterministic():
@@ -58,16 +69,21 @@ def test_simulate_depth_and_levels():
 
 
 def test_simulate_builds_the_tree_in_place(monkeypatch):
-    # the sample keeps the array the recursion wrote, read-only; the copying
-    # constructor is not called
-    def no_copy(*args):
-        raise AssertionError("simulate copied the tree")
+    # the sample keeps the array the recursion wrote, read-only; the
+    # constructor adopts it, not a copy of it
+    written = []
+    adopt = TreeSample.__init__
+
+    def spy(self, values):
+        written.append(values)
+        adopt(self, values)
 
     reference = simulate(CASE1, 5, InitSpec.dirac(0.5), 9)
-    monkeypatch.setattr(TreeSample, "__init__", no_copy)
+    monkeypatch.setattr(TreeSample, "__init__", spy)
     s = simulate(CASE1, 5, InitSpec.dirac(0.5), 9)
     assert s == reference
     levels = [s.level(k) for k in range(7)]
+    assert all(np.shares_memory(lv, written[0]) for lv in levels)
     assert not any(lv.flags.writeable for lv in levels)
     with pytest.raises(ValueError):
         levels[6][0] = 1.0
@@ -102,7 +118,7 @@ def reference_levels(params, n, init, seed):
     if init.kind is InitKind.DIRAC:
         root = np.array([init.x0])
     else:
-        sigma_a = SymmetricBarParams(params.a0, params.sigma).sigma_a
+        sigma_a = BarParams(params.a0, params.a0, sigma=params.sigma).sigma_a
         root = sigma_a * philox_stream(seed, 0).standard_normal(1)
     c10 = params.rho / params.sigma
     c11 = math.sqrt(params.sigma**2 - params.rho**2 / params.sigma**2)
@@ -228,17 +244,16 @@ def test_q_density_values_and_mass():
 
 
 def test_q_density_symmetric_case_single_gaussian():
-    sym = SymmetricBarParams(0.5, 1.0)
-    params = sym.to_bar_params()
+    params = BarParams(0.5, 0.5, sigma=1.0)
     for x, y in [(-1, 0.3), (0.5, 0.5), (2, -1)]:
         assert q_density(params, x, y) == pytest.approx(normal_pdf(y, 0.5 * x, 1.0), rel=1e-14)
 
 
 def test_stationary_mu_values():
-    assert stationary_mu(SymmetricBarParams(0.0, 1.0), 0.0) == pytest.approx(
+    assert stationary_mu(BarParams(0.0, 0.0, sigma=1.0), 0.0) == pytest.approx(
         1 / math.sqrt(2 * math.pi), rel=1e-14
     )
-    sym = SymmetricBarParams(0.5, 1.0)
+    sym = BarParams(0.5, 0.5, sigma=1.0)
     sa = 1.0 / math.sqrt(0.75)
     assert stationary_mu(sym, 0.0) == pytest.approx(normal_pdf(0.0, 0.0, sa * sa), rel=1e-12)
     mass, _ = quad(lambda x: stationary_mu(sym, x), -20, 20, epsabs=1e-12)
@@ -246,18 +261,17 @@ def test_stationary_mu_values():
 
 
 def test_mu_triangle_is_product_and_symmetric():
-    sym = SymmetricBarParams(0.5, 1.0)
-    params = sym.to_bar_params()
+    params = BarParams(0.5, 0.5, sigma=1.0)
     rng = np.random.default_rng(1)
     for _ in range(20):
         x, y, z = rng.uniform(-2, 2, 3)
-        expected = stationary_mu(sym, x) * q_density(params, x, y) * q_density(params, x, z)
-        assert mu_triangle(sym, x, y, z) == pytest.approx(expected, rel=1e-12)
-        assert mu_triangle(sym, x, y, z) == pytest.approx(mu_triangle(sym, x, z, y), rel=1e-14)
+        expected = stationary_mu(params, x) * q_density(params, x, y) * q_density(params, x, z)
+        assert mu_triangle(params, x, y, z) == pytest.approx(expected, rel=1e-12)
+        assert mu_triangle(params, x, y, z) == pytest.approx(mu_triangle(params, x, z, y), rel=1e-14)
 
 
 def test_mu_triangle_total_mass():
-    sym = SymmetricBarParams(0.5, 1.0)
+    sym = BarParams(0.5, 0.5, sigma=1.0)
     # product-Gaussian structure: integrate with a tensor Simpson rule
     ax = np.linspace(-8, 8, 161)
     gx, gy, gz = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
@@ -270,8 +284,8 @@ def test_mu_triangle_total_mass():
 
 def test_stationarity_of_level_variance():
     # level variances fluctuate a lot through shared ancestry: pool seeds
-    sym = SymmetricBarParams(0.5, 1.0)
-    samples = [simulate(sym.to_bar_params(), 12, InitSpec.stationary(), 70 + s) for s in range(20)]
+    sym = BarParams(0.5, 0.5, sigma=1.0)
+    samples = [simulate(sym, 12, InitSpec.stationary(), 70 + s) for s in range(20)]
     target = sym.sigma_a**2
     for k in (6, 9, 12):
         pooled = np.concatenate([s.level(k) for s in samples])
@@ -279,10 +293,10 @@ def test_stationarity_of_level_variance():
 
 
 def test_level_mean_concentration():
-    sym = SymmetricBarParams(0.5, 1.0)
+    sym = BarParams(0.5, 0.5, sigma=1.0)
     means = []
     for seed in range(5):
-        s = simulate(sym.to_bar_params(), 10, InitSpec.stationary(), seed)
+        s = simulate(sym, 10, InitSpec.stationary(), seed)
         means.append(np.mean(s.level(10)))
     bound = 4.0 * sym.sigma_a / math.sqrt(2**10)
     assert all(abs(m) <= bound for m in means)

@@ -214,6 +214,18 @@ def test_reproduce_figures_outputs(tmp_path):
     assert any(n.endswith("run.config.json") for n in names)
 
 
+def test_reproduce_figures_names_a_fixed_gamma_run_by_its_config_kind(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "fig.json",
+        {"case": "2", "selector": {"kind": "fixed", "gamma": 0.2}, "n_list": [4], "seeds": 1, "grid": {"points_per_axis": 3}},
+    )
+    out_dir = tmp_path / "figs"
+    assert main(["reproduce-figures", "--config", cfg, "--out", str(out_dir)]) == 0
+    assert (out_dir / "grid_case2_fixed_n4_s0.csv").exists()
+    assert (out_dir / "summary.csv").read_text().splitlines()[1].startswith("2,fixed,4,0,")
+
+
 def test_threads_flag_overrides_config_and_is_validated(tmp_path, monkeypatch):
     cfg = write_config(
         tmp_path,
@@ -503,6 +515,8 @@ INVALID = {
     # one spelling per case: "case1" would name the same model as "1"
     "figure case spelled case1": ("reproduce-figures", {"case": "case1", "selector": {"kind": "rot"}}, None, []),
     "stationary start with x0": ("simulate", {**SIM, "init": "stationary", "x0": 7.5}, None, []),
+    # a model whose values overflow to infinity within the tree's depth
+    "overflowing model": ("simulate", {**SIM, "a0": 1e200, "a1": 1e200, "n": 3}, None, []),
 }
 # what stderr must say, where more than "error:"
 MESSAGES = {
@@ -518,6 +532,7 @@ MESSAGES = {
     "figure depth 63": "at n_list/0: 63 is greater than the maximum of 62",
     "figure case spelled case1": "at case: 'case1' is not one of ['1', '2']",
     "stationary start with x0": "('x0' was unexpected)",
+    "overflowing model": "error: tree values must be finite",
 }
 
 

@@ -46,7 +46,7 @@ def test_make_folds_edges():
 
 
 def constant_tree(c: float, n: int) -> TreeSample:
-    return TreeSample([np.full(1 << k, c) for k in range(n + 2)])
+    return TreeSample(np.concatenate([np.full(1 << k, c) for k in range(n + 2)]))
 
 
 def test_j_hat_den_collapsed_hand_value():

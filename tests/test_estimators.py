@@ -26,7 +26,7 @@ from bmckde.estimators import (
     p_hat,
     product_points,
 )
-from bmckde.kernels import GAUSSIAN, BandwidthTriple
+from bmckde.kernels import L2_NORM_SQ, BandwidthTriple, gaussian
 from bmckde.tree import Population, TreeSample
 
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -40,16 +40,16 @@ def bits(v):
 def tiny_sample(values3):
     """TreeSample of depth 0 holding one triangle (root, c0, c1)."""
     p, c0, c1 = values3
-    return TreeSample([np.array([p]), np.array([c0, c1])])
+    return TreeSample(np.concatenate([np.array([p]), np.array([c0, c1])]))
 
 
 def test_kernel_constants():
-    assert GAUSSIAN(0.0) == pytest.approx(1 / SQRT_2PI, rel=1e-15)
-    assert GAUSSIAN.l2_norm_sq == pytest.approx(quad(lambda t: GAUSSIAN(t) ** 2, -10, 10)[0], abs=1e-12)
+    assert gaussian(0.0) == pytest.approx(1 / SQRT_2PI, rel=1e-15)
+    assert L2_NORM_SQ == pytest.approx(quad(lambda t: gaussian(t) ** 2, -10, 10)[0], abs=1e-12)
     # the self-convolution in the form the CV scores use: l2_norm_sq * exp(-t^2/4)
     for t in (-1.5, 0.0, 2.0):
-        conv, _ = quad(lambda s: GAUSSIAN(s) * GAUSSIAN(t - s), -12, 12)
-        assert GAUSSIAN.l2_norm_sq * math.exp(-0.25 * t * t) == pytest.approx(conv, abs=1e-12)
+        conv, _ = quad(lambda s: gaussian(s) * gaussian(t - s), -12, 12)
+        assert L2_NORM_SQ * math.exp(-0.25 * t * t) == pytest.approx(conv, abs=1e-12)
 
 
 def test_bandwidth_triple_validation():
@@ -78,10 +78,10 @@ def test_mu_hat_normalization_equivalence():
     rng = np.random.default_rng(0)
     vals = rng.standard_normal(32)
     s = TreeSample(
-        [np.zeros(1 << k) for k in range(5)] + [vals, np.zeros(64)]
+        np.concatenate([np.zeros(1 << k) for k in range(5)] + [vals, np.zeros(64)])
     )  # depth 5: generation-5 values are `vals`
     for h, x in [(0.2, 0.3), (0.7, -1.0), (1.3, 0.0)]:
-        split = np.sum(h ** (-0.5) * GAUSSIAN((x - vals) / h)) / (vals.size * h**0.5)
+        split = np.sum(h ** (-0.5) * gaussian((x - vals) / h)) / (vals.size * h**0.5)
         assert mu_hat(s, Population.GEN_N, h, x) == pytest.approx(split, rel=1e-14)
 
 
@@ -90,9 +90,9 @@ def test_mu_hat_linearity_in_sample():
     rng = np.random.default_rng(3)
     a, b = rng.standard_normal(8), rng.standard_normal(8)
     base = [np.array([0.0]), np.zeros(2), np.zeros(4)]
-    sa = TreeSample(base + [a, np.zeros(16)])
-    sb = TreeSample(base + [b, np.zeros(16)])
-    merged = TreeSample(base + [np.zeros(8), np.concatenate([a, b]), np.zeros(32)])
+    sa = TreeSample(np.concatenate(base + [a, np.zeros(16)]))
+    sb = TreeSample(np.concatenate(base + [b, np.zeros(16)]))
+    merged = TreeSample(np.concatenate(base + [np.zeros(8), np.concatenate([a, b]), np.zeros(32)]))
     x, h = 0.4, 0.6
     avg = 0.5 * (mu_hat(sa, Population.GEN_N, h, x) + mu_hat(sb, Population.GEN_N, h, x))
     assert mu_hat(merged, Population.GEN_N, h, x) == pytest.approx(avg, rel=1e-13)
@@ -110,7 +110,7 @@ def test_mu_tri_hat_matches_scalar_bandwidth_form():
     h = 0.45
     x, x0, x1 = 0.2, -0.4, 0.9
     direct = np.sum(
-        GAUSSIAN((x - xp) / h) * GAUSSIAN((x0 - c0) / h) * GAUSSIAN((x1 - c1) / h)
+        gaussian((x - xp) / h) * gaussian((x0 - c0) / h) * gaussian((x1 - c1) / h)
     ) / (xp.size * h**3)
     assert mu_tri_hat(s, Population.GEN_N, BandwidthTriple.scalar(h), x, x0, x1) == pytest.approx(
         direct, rel=1e-14
@@ -145,7 +145,7 @@ def test_p_hat_quotient_and_degeneracy():
 def test_p_hat_identical_triangles_hand_value():
     # N = 2 identical triangles (c, c, c): generation-1 population of a constant tree
     c = 0.8
-    s = TreeSample([np.array([c]), np.array([c, c]), np.array([c, c, c, c])])
+    s = TreeSample(np.concatenate([np.array([c]), np.array([c, c]), np.array([c, c, c, c])]))
     bw = BandwidthTriple.scalar(0.3)
     h_den = 0.5
     k0_at_zero = 1 / SQRT_2PI
@@ -179,16 +179,15 @@ def test_p_hat_near_truth_with_rot_bandwidths():
     # occasionally crosses the selector's regime threshold and blows up the
     # numerator bandwidth (growing-branch window), collapsing those few
     # estimates toward zero.
-    from bmckde.bar import SymmetricBarParams
     from bmckde.bar import transition_density_p as tdp
     from bmckde.rng import derive_seed
     from bmckde.rot import rot_select
 
-    sym = SymmetricBarParams(0.5, 1.0)
-    truth = float(tdp(sym.to_bar_params(), 0, 0, 0))
+    sym = BarParams(0.5, 0.5, sigma=1.0)
+    truth = float(tdp(sym, 0, 0, 0))
     ests = []
     for seed in range(10):
-        s = simulate(sym.to_bar_params(), 14, InitSpec.stationary(), derive_seed(77, seed))
+        s = simulate(sym, 14, InitSpec.stationary(), derive_seed(77, seed))
         sel = rot_select(s)
         bw = BandwidthTriple(sel.h_n_hat, sel.h_0n_hat, sel.h_1n_hat)
         ests.append(p_hat(s, Population.GEN_N, bw, sel.h_d_hat, 0.0, 0.0, 0.0))
@@ -241,17 +240,17 @@ def test_large_product_grid_completes_and_matches_spot_checks():
 def test_mu_hat_grid_error_shrinks_with_depth():
     # smoothing at h = 2^(-0.2 n): the sup distance to the invariant density
     # over a grid drops from depth 10 to depth 14, averaged over 5 seeds
-    from bmckde.bar import SymmetricBarParams, stationary_mu
+    from bmckde.bar import stationary_mu
     from bmckde.rng import derive_seed
 
-    sym = SymmetricBarParams(0.5, 1.0)
+    sym = BarParams(0.5, 0.5, sigma=1.0)
     xs = np.linspace(-3, 3, 61)
     truth = stationary_mu(sym, xs)
     sup = {}
     for n in (10, 14):
         errs = []
         for seed in range(5):
-            s = simulate(sym.to_bar_params(), n, InitSpec.stationary(), derive_seed(31, seed))
+            s = simulate(sym, n, InitSpec.stationary(), derive_seed(31, seed))
             est = evaluate_on_grid(
                 s, EstimatorSpec(kind="mu", population=Population.GEN_N, h=2.0 ** (-0.2 * n)), xs
             )
@@ -391,9 +390,9 @@ def test_grid_values_equal_naive_formula_bitwise(population, rows):
         mu = evaluate_on_grid(s, EstimatorSpec("mu", population, h=h_den), axes[0])
         tri = evaluate_on_grid(s, EstimatorSpec("mu_tri", population, bw=BandwidthTriple(h, h0, h1)), axes)
         p = evaluate_on_grid(s, EstimatorSpec("p", population, h=h_den, bw=BandwidthTriple(h, h0, h1)), axes)
-    den = {x: np.sum(GAUSSIAN((x - X) / h_den)) / (N * h_den) for x in axes[0]}
+    den = {x: np.sum(gaussian((x - X) / h_den)) / (N * h_den) for x in axes[0]}
     num = [
-        np.sum(GAUSSIAN((x - X) / h) * (GAUSSIAN((x0 - C0) / h0) * GAUSSIAN((x1 - C1) / h1))) / (((N * h) * h0) * h1)
+        np.sum(gaussian((x - X) / h) * (gaussian((x0 - C0) / h0) * gaussian((x1 - C1) / h1))) / (((N * h) * h0) * h1)
         for x, x0, x1 in product_points(*axes)
     ]
     quotient = [v / den[x] if den[x] >= DENOMINATOR_FLOOR else 0.0 for v, x in zip(num, p.points[:, 0])]
@@ -522,7 +521,7 @@ def test_tail_density_near_1e_200_is_kept_exactly():
     p = evaluate_on_grid(s, EstimatorSpec("p", h=0.3, bw=bw), axes)
     pt = tuple(tri.points[3])
     assert pt == (X[u], C0[u], far)
-    direct = np.sum(GAUSSIAN((pt[0] - X) / 0.3) * (GAUSSIAN((pt[1] - C0) / 0.3) * GAUSSIAN((far - C1) / 0.1)))
+    direct = np.sum(gaussian((pt[0] - X) / 0.3) * (gaussian((pt[1] - C0) / 0.3) * gaussian((far - C1) / 0.1)))
     assert np.finfo(float).tiny < tri.values[3] < 1e-195
     assert np.finfo(float).tiny < p.values[3] < 1e-195
     assert bits(tri.values[3]) == bits(direct / (((X.size * 0.3) * 0.3) * 0.1))

@@ -309,9 +309,9 @@ def test_standardized_mean_shrinks_with_depth():
 def test_mu_tri_consistency_trend():
     # median absolute estimation error at the central point drops from
     # depth 10 to depth 14
-    from bmckde.bar import SymmetricBarParams, mu_triangle
+    from bmckde.bar import mu_triangle
 
-    truth = float(mu_triangle(SymmetricBarParams(0.5, 1.0), 0, 0, 0))
+    truth = float(mu_triangle(BarParams(0.5, 0.5, sigma=1.0), 0, 0, 0))
     med = {}
     for n in (10, 14):
         rep = run_clt_mu_tri(small_spec(n_list=(n,), replications=60, seed=9))

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bmckde.bar import BarParams, InitSpec, SymmetricBarParams, mu_triangle, simulate, transition_density_p
-from bmckde.kernels import GAUSSIAN
+from bmckde.bar import BarParams, InitSpec, mu_triangle, simulate, transition_density_p
+from bmckde.kernels import L2_NORM_SQ
 from bmckde.oracle import (
     GridFunction,
     _apply_p_outer,
@@ -274,8 +274,8 @@ def test_moment_check_table_rejects_too_few_replications(monkeypatch, replicatio
 
 
 def test_true_variance_constants():
-    sym = SymmetricBarParams(0.5, 1.0)
-    k6 = GAUSSIAN.l2_norm_sq**3
+    sym = BarParams(0.5, 0.5, sigma=1.0)
+    k6 = L2_NORM_SQ**3
     assert k6 == pytest.approx(1 / (8 * math.pi**1.5), rel=1e-14)
     assert k6 == pytest.approx(0.0224484, abs=1e-6)
     p0 = float(transition_density_p(SYM, 0, 0, 0))

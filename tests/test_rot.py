@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bmckde.bar import BarParams, InitSpec, SymmetricBarParams, simulate
+from bmckde.bar import BarParams, InitSpec, simulate
 from bmckde.rng import derive_seed
 from bmckde.rot import (
     DEN_THRESHOLD,
@@ -60,7 +60,7 @@ def test_denominator_constants_match_density_functional():
 
     for a, s in [(0.3, 1.0), (0.6, 0.8)]:
         c = rot_constants(a, s)
-        sym = SymmetricBarParams(a, s)
+        sym = BarParams(a, a, sigma=s)
         sa = sym.sigma_a
 
         def mu_pp(x):
@@ -80,7 +80,7 @@ def test_numerator_constants_match_hessian_quadrature():
 
     a, s = 0.5, 1.0
     c = rot_constants(a, s)
-    sa = SymmetricBarParams(a, s).sigma_a
+    sa = BarParams(a, a, sigma=s).sigma_a
     ax = np.linspace(-9, 9, 301)
     X, U, V = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
 
@@ -172,10 +172,10 @@ def test_sigma_hat_values():
 
 
 def test_sigma_hat_recovers_invariant_sd():
-    sym = SymmetricBarParams(0.5, 1.0)
+    sym = BarParams(0.5, 0.5, sigma=1.0)
     ests = []
     for seed in range(10):
-        s = simulate(sym.to_bar_params(), 14, InitSpec.stationary(), derive_seed(4, seed))
+        s = simulate(sym, 14, InitSpec.stationary(), derive_seed(4, seed))
         ests.append(sigma_hat_a(s.level(14)))
     assert np.mean(ests) == pytest.approx(sym.sigma_a, rel=0.05)
 
@@ -186,17 +186,17 @@ def test_a_hat_m1_returns_cap():
     levels = [np.array([0.0]), np.array([1.0, -1.0]), np.array([3.0, -1.0, 2.0, -4.0])]
     while len(levels) < 8:
         levels.append(np.repeat(levels[-1], 2))
-    assert a_hat(TreeSample(levels), m=1) == 0.999
+    assert a_hat(TreeSample(np.concatenate(levels)), m=1) == 0.999
 
 
 def test_a_hat_translation_invariance():
     s = simulate(BarParams(0.5, 0.5), 8, InitSpec.dirac(0.0), 5)
-    shifted = TreeSample([lv + 7.5 for lv in (s.level(k) for k in range(10))])
+    shifted = TreeSample(np.concatenate([lv + 7.5 for lv in (s.level(k) for k in range(10))]))
     assert a_hat(s, m=4) == pytest.approx(a_hat(shifted, m=4), rel=1e-10)
 
 
 def test_a_hat_constant_tree_rejected():
-    s = TreeSample([np.full(1 << k, 2.0) for k in range(6)])
+    s = TreeSample(np.concatenate([np.full(1 << k, 2.0) for k in range(6)]))
     with pytest.raises(ValueError):
         a_hat(s, m=2)
 
@@ -212,10 +212,10 @@ def test_a_hat_lag_range():
 def test_a_hat_short_lag_is_tight():
     # with a short lag the covariance signal is strong; the estimator should
     # land near its estimand a with little spread
-    sym = SymmetricBarParams(0.5, 1.0)
+    sym = BarParams(0.5, 0.5, sigma=1.0)
     m = 3
     vals = [
-        a_hat(simulate(sym.to_bar_params(), 12, InitSpec.stationary(), derive_seed(8, s)), m=m)
+        a_hat(simulate(sym, 12, InitSpec.stationary(), derive_seed(8, s)), m=m)
         for s in range(10)
     ]
     assert np.mean(vals) == pytest.approx(0.5, abs=0.03)
@@ -246,8 +246,8 @@ def test_rot_select_forced_branches():
 
 
 def test_rot_select_uses_per_sample_sigma_and_branches():
-    sym = SymmetricBarParams(0.5, 1.0)
-    s = simulate(sym.to_bar_params(), 10, InitSpec.stationary(), 40)
+    sym = BarParams(0.5, 0.5, sigma=1.0)
+    s = simulate(sym, 10, InitSpec.stationary(), 40)
     sel = rot_select(s)
     n = 10
     t = 2 * sel.a_hat**2
@@ -266,13 +266,13 @@ def test_rot_select_uses_per_sample_sigma_and_branches():
 
 
 def test_rot_select_sibling_swap_swaps_child_bandwidths():
-    sym = SymmetricBarParams(0.5, 1.0)
-    s = simulate(sym.to_bar_params(), 8, InitSpec.stationary(), 21)
+    sym = BarParams(0.5, 0.5, sigma=1.0)
+    s = simulate(sym, 8, InitSpec.stationary(), 21)
     levels = [s.level(k).copy() for k in range(10)]
     swapped = levels[:-1] + [levels[-1].copy()]
     swapped[-1][0::2], swapped[-1][1::2] = levels[-1][1::2].copy(), levels[-1][0::2].copy()
     sel = rot_select(s)
-    sel_sw = rot_select(TreeSample(swapped))
+    sel_sw = rot_select(TreeSample(np.concatenate(swapped)))
     assert sel_sw.h_0n_hat == pytest.approx(sel.h_1n_hat, rel=1e-14)
     assert sel_sw.h_1n_hat == pytest.approx(sel.h_0n_hat, rel=1e-14)
     assert sel_sw.h_d_hat == pytest.approx(sel.h_d_hat, rel=1e-14)

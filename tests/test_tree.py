@@ -1,3 +1,4 @@
+import ast
 import os
 import tracemalloc
 import warnings
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bmckde.tree
 from bmckde.tree import Population, TreeSample, tree_size
 
 
 def make_sample(n: int, seed: int = 0) -> TreeSample:
     rng = np.random.default_rng(seed)
-    return TreeSample([rng.standard_normal(1 << k) for k in range(n + 2)])
+    return TreeSample(np.concatenate([rng.standard_normal(1 << k) for k in range(n + 2)]))
 
 
 def test_tree_size_values():
@@ -31,9 +33,9 @@ def test_size_overflow_guards():
 
 def test_levels_must_be_powers_of_two():
     with pytest.raises(ValueError):
-        TreeSample([np.zeros(1), np.zeros(3)])
+        TreeSample(np.concatenate([np.zeros(1), np.zeros(3)]))
     with pytest.raises(ValueError):
-        TreeSample([np.zeros(1)])
+        TreeSample(np.zeros(1))
 
 
 def test_triangle_counts():
@@ -61,7 +63,7 @@ def test_triangles_match_node_addressing():
 
 def test_tree_population_is_union_of_generations():
     s = make_sample(3, seed=2)
-    per_gen = [TreeSample([s.level(j) for j in range(k + 2)]).triangle_arrays(Population.GEN_N) for k in range(4)]
+    per_gen = [TreeSample(np.concatenate([s.level(j) for j in range(k + 2)])).triangle_arrays(Population.GEN_N) for k in range(4)]
     whole = s.triangle_arrays(Population.TREE_N)
     for col in range(3):
         assert np.array_equal(np.concatenate([t[col] for t in per_gen]), whole[col])
@@ -102,7 +104,7 @@ EDGE_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from
 @st.composite
 def edge_trees(draw) -> TreeSample:
     n = draw(st.integers(0, 4))
-    return TreeSample([np.array(draw(st.lists(EDGE_VALUES, min_size=1 << k, max_size=1 << k))) for k in range(n + 2)])
+    return TreeSample(np.concatenate([np.array(draw(st.lists(EDGE_VALUES, min_size=1 << k, max_size=1 << k))) for k in range(n + 2)]))
 
 
 @given(edge_trees())
@@ -195,8 +197,44 @@ def test_levels_are_immutable():
         for col in s.triangle_arrays(population):
             assert np.shares_memory(col, s._values)
             assert not col.flags.writeable
-    # the constructor copies its input, which stays the caller's to change
-    level = np.zeros(2)
-    t = TreeSample([np.zeros(1), level])
-    level[0] = 1.0
-    assert t.level(1)[0] == 0.0
+    # the constructor adopts its array, which becomes read-only for the caller too
+    values = np.zeros(3)
+    t = TreeSample(values)
+    assert np.shares_memory(t.level(1), values)
+    with pytest.raises(ValueError):
+        values[1] = 1.0
+
+
+def _private_names(tree: ast.AST) -> set[str]:
+    """Names with one leading underscore that a module defines or assigns, self._x included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            found.add(node.attr)
+    return {name for name in found if name.startswith("_") and not name.startswith("__")}
+
+
+def test_only_tree_uses_the_private_names_of_the_tree_layer():
+    # the heap layout and every check a tree gets live in tree.py alone
+    tree_path = Path(bmckde.tree.__file__)
+    private = _private_names(ast.parse(tree_path.read_text()))
+    assert {"_values", "_index_columns"} <= private
+    found = []
+    for path in sorted(tree_path.parent.glob("*.py")):
+        if path == tree_path:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "tree":
+                names = [a.name for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr] if node.attr in private else []
+            elif isinstance(node, ast.Name):
+                names = [node.id] if node.id in private else []
+            else:
+                names = []
+            found += [(path.name, node.lineno, name) for name in names]
+    assert found == []
