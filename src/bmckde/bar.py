@@ -12,7 +12,6 @@ it, so every function of that sub-case takes a ``BarParams``.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -44,40 +43,31 @@ class BarParams:
                 raise ValueError(f"{name} must be finite")
 
     @property
-    def is_symmetric(self) -> bool:
-        return self.a0 == self.a1 and self.b0 == 0.0 and self.b1 == 0.0 and self.rho == 0.0
-
-    @property
     def sigma_a(self) -> float:
         """Standard deviation of the invariant law, sigma / sqrt(1 - a^2).
 
         Defined only in the stationary symmetric sub-case; any other model
         raises ``ValueError``.
         """
-        if not (self.is_symmetric and abs(self.a0) < 1):
+        if not (self.a0 == self.a1 and abs(self.a0) < 1 and self.b0 == self.b1 == 0.0 and self.rho == 0.0):
             raise ValueError("need the stationary symmetric sub-case (a0 = a1 with |a| < 1, b = 0, rho = 0)")
         return self.sigma / math.sqrt(1.0 - self.a0**2)
 
 
-class InitKind(enum.Enum):
-    DIRAC = "dirac"
-    STATIONARY = "stationary"
-
-
 @dataclass(frozen=True)
 class InitSpec:
-    """Root distribution: point mass at x0, or the invariant law (symmetric case only)."""
+    """Root distribution: a point mass at ``x0``, or the invariant law when
+    ``x0`` is None (stationary symmetric sub-case only)."""
 
-    kind: InitKind = InitKind.DIRAC
-    x0: float = 0.0
+    x0: float | None = 0.0
 
     @classmethod
     def dirac(cls, x0: float = 0.0) -> "InitSpec":
-        return cls(InitKind.DIRAC, x0)
+        return cls(x0)
 
     @classmethod
     def stationary(cls) -> "InitSpec":
-        return cls(InitKind.STATIONARY)
+        return cls(None)
 
 
 def simulate(params: BarParams, n: int, init: InitSpec, seed: int) -> TreeSample:
@@ -124,33 +114,36 @@ def _simulate_trees(params: BarParams, n: int, init: InitSpec, seeds) -> np.ndar
     if n > MAX_DEPTH:
         raise OverflowError(f"depth {n} exceeds limit ({MAX_DEPTH})")
     # a stationary root exists only where sigma_a does, which raises otherwise
-    root_sd = params.sigma_a if init.kind is InitKind.STATIONARY else None
+    root_sd = params.sigma_a if init.x0 is None else None
 
     reps = len(seeds)
     trees = np.empty((reps, (1 << (n + 2)) - 1))
     gen = philox_stream(seeds[0], 0)  # one bit generator per call, re-keyed per stream
-    if init.kind is InitKind.DIRAC:
-        trees[:, 0] = float(init.x0)
-    else:
+    if init.x0 is None:
         z = np.empty(reps)
         for r, seed in enumerate(seeds):
             rekey(gen, seed, 0).standard_normal(out=z[r : r + 1])
         trees[:, 0] = root_sd * z
+    else:
+        trees[:, 0] = float(init.x0)
 
     sigma, rho = params.sigma, params.rho
     c10 = rho / sigma
     c11 = math.sqrt(sigma**2 - rho**2 / sigma**2)
 
-    for k in range(n + 1):
-        parents = trees[:, level_slice(k)]
-        children = trees[:, level_slice(k + 1)]
-        z = np.empty((reps, 1 << k, 2))
-        for r, seed in enumerate(seeds):
-            rekey(gen, seed, k + 1).standard_normal(out=z[r])
-        e0 = sigma * z[..., 0]
-        e1 = c10 * z[..., 0] + c11 * z[..., 1]
-        children[:, 0::2] = params.a0 * parents + params.b0 + e0
-        children[:, 1::2] = params.a1 * parents + params.b1 + e1
+    # a model that overflows is rejected by TreeSample's finiteness check,
+    # not by numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n + 1):
+            parents = trees[:, level_slice(k)]
+            children = trees[:, level_slice(k + 1)]
+            z = np.empty((reps, 1 << k, 2))
+            for r, seed in enumerate(seeds):
+                rekey(gen, seed, k + 1).standard_normal(out=z[r])
+            e0 = sigma * z[..., 0]
+            e1 = c10 * z[..., 0] + c11 * z[..., 1]
+            children[:, 0::2] = params.a0 * parents + params.b0 + e0
+            children[:, 1::2] = params.a1 * parents + params.b1 + e1
     return trees
 
 

@@ -6,11 +6,13 @@ checks are read from: a flag exists where the schema has its key,
 ``load_config`` copies in the flags, fills every default and validates the
 result, and every file-producing command drops that resolved config as a
 sidecar JSON next to its output, so passing the sidecar back as ``--config``
-reproduces the run.  Every output file is written through ``table``, to a
-temporary name then renamed, so failures leave no partial files.
+reproduces the run.  A selector config builds the ``harness`` selector class
+whose ``kind`` it names from its other keys.  Every output file is written
+through ``table``, to a temporary name then renamed, so failures leave no
+partial files.
 
-Exit codes: 0 success, 1 config/validation error (any ValueError), 2 runtime
-error.
+Exit codes: 0 success, 1 config/validation error (every ValueError: config
+errors are raised as plain ValueError), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import functools
 import json
 import os
 import sys
+import typing
 
 import jsonschema
 import numpy as np
@@ -32,8 +35,7 @@ from .harness import (
     CvSelector,
     ExperimentSpec,
     FigureGrid,
-    FixedGamma,
-    RotSelector,
+    Selector,
     gnuplot_script,
     mean_sup_errors,
     run_clt_mu_tri,
@@ -45,10 +47,6 @@ from .oracle import moment_check_table
 from .rot import DEFAULT_LAG, rot_select
 from .table import write_csv, write_rows, write_text
 from .tree import MAX_DEPTH, Population, TreeSample
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; ``main`` maps it, like every ValueError, to exit code 1."""
 
 
 # jsonschema counts 2.0 as an integer; range() and the seed's bit operations do not
@@ -264,9 +262,9 @@ def load_config(args, command: str) -> dict:
             with open(path) as fh:
                 cfg = json.load(fh)
         except OSError as e:
-            raise ConfigError(f"cannot read config {path}: {e}") from e
+            raise ValueError(f"cannot read config {path}: {e}") from e
         except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}:{e.lineno}:{e.colno}: malformed JSON: {e.msg}") from e
+            raise ValueError(f"{path}:{e.lineno}:{e.colno}: malformed JSON: {e.msg}") from e
     flags = [f for f in _FLAGS if isinstance(cfg, dict) and getattr(args, f, None) is not None]
     for flag in flags:
         cfg[flag] = _flag_value(getattr(args, flag))
@@ -276,9 +274,9 @@ def load_config(args, command: str) -> dict:
         return cfg
     at = list(e.absolute_path)
     if len(at) == 1 and at[0] in flags:  # the value came from the command line
-        raise ConfigError(f"--{at[0]}: {e.message}")
+        raise ValueError(f"--{at[0]}: {e.message}")
     where = "/".join(map(str, at)) or "<root>"
-    raise ConfigError(f"{path or '<empty config>'}: at {where}: {e.message}")
+    raise ValueError(f"{path or '<empty config>'}: at {where}: {e.message}")
 
 
 def _write_json(path: str, obj) -> None:
@@ -295,21 +293,20 @@ def _model(cfg: dict) -> BarParams:
     return BarParams(**{key: cfg[key] for key in _MODEL_PROPS})
 
 
-def _selector(cfg: dict):
-    kind = cfg["kind"]
-    if kind == "fixed":
-        return FixedGamma(cfg["gamma"])
-    if kind == "cv":
-        grid = tuple(cfg["grid"]) if "grid" in cfg else None
-        return CvSelector(K=cfg["K"], grid_size=cfg.get("grid_size"), grid=grid)
-    return RotSelector(m=cfg["m"])
+_SELECTORS = {c.kind: c for c in typing.get_args(Selector)}
+
+
+def _selector(cfg: dict) -> Selector:
+    # the schema branch of each kind admits exactly that class's fields
+    kwargs = {key: tuple(v) if key == "grid" else v for key, v in cfg.items() if key != "kind"}
+    return _SELECTORS[cfg["kind"]](**kwargs)
 
 
 def _load_tree(path: str) -> TreeSample:
     try:
         return TreeSample.from_raw(path) if path.endswith(".f64") else TreeSample.from_csv(path)
     except (OSError, ValueError) as e:
-        raise ConfigError(f"cannot load tree {path}: {e}") from e
+        raise ValueError(f"cannot load tree {path}: {e}") from e
 
 
 # -- subcommand handlers: each reads only its resolved config ------------------
@@ -440,7 +437,7 @@ def main(argv=None) -> int:
         if args.out:  # the sidecar is the resolved config the run used
             _write_json((os.path.join(args.out, "run") if args.out_is_dir else args.out) + ".config.json", cfg)
         return code
-    except ValueError as e:  # ConfigError, and any invalid value a command meets
+    except ValueError as e:  # an invalid config, flag or value a command meets
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # runtime failure

@@ -177,10 +177,7 @@ def _run_clt(spec: ExperimentSpec, statistic: str) -> ExperimentReport:
     # true_variance_clt raises outside the stationary symmetric sub-case,
     # before any replication runs
     sigma2 = oracle.true_variance_clt(spec.model, x, x0, x1, statistic)
-    if statistic == "p_hat":
-        truth = float(transition_density_p(spec.model, x, x0, x1))
-    else:
-        truth = float(mu_triangle(spec.model, x, x0, x1))
+    truth = float((transition_density_p if statistic == "p_hat" else mu_triangle)(spec.model, x, x0, x1))
     # deepest depths first, so a pool's last chunks are its cheapest
     order = sorted(range(len(spec.n_list)), key=lambda i: spec.n_list[i], reverse=True)
     tasks = [

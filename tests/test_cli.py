@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,10 @@ import pytest
 import bmckde.cli
 from bmckde.cli import main
 from bmckde.bar import BarParams, InitSpec, simulate
+from bmckde.cv import DEFAULT_GRID_SIZE
 from bmckde.estimators import mu_hat
+from bmckde.harness import CvSelector, FixedGamma, RotSelector
+from bmckde.rot import DEFAULT_LAG
 from bmckde.tree import Population, TreeSample
 
 
@@ -532,7 +536,7 @@ MESSAGES = {
     "figure depth 63": "at n_list/0: 63 is greater than the maximum of 62",
     "figure case spelled case1": "at case: 'case1' is not one of ['1', '2']",
     "stationary start with x0": "('x0' was unexpected)",
-    "overflowing model": "error: tree values must be finite",
+    "overflowing model": "error: tree values must be finite (NaN or infinity found)",
 }
 
 
@@ -552,8 +556,41 @@ def test_invalid_config_exits_1_and_writes_nothing(tmp_path, capsys, case):
     argv = [command, "--config", config, "--out", str(out_dir / OUTPUTS[command]), *flags]
     argv += ["--tree", tree] if command in TREE_COMMANDS else []
     assert main(argv) == 1
-    assert MESSAGES.get(case, "error:") in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert MESSAGES.get(case, "error:") in err
+    if case == "overflowing model":  # the error line alone, no numpy warning before it
+        assert err == MESSAGES[case] + "\n"
     assert os.listdir(out_dir) == []
+
+
+def test_overflowing_model_prints_only_its_error_line(tmp_path):
+    # a fresh interpreter prints numpy's warnings to stderr, as a shell run would
+    config = write_config(tmp_path, "sim.json", INVALID["overflowing model"][1])
+    src = os.path.dirname(os.path.dirname(bmckde.cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "bmckde.cli", "simulate", "--config", config, "--out", str(tmp_path / "tree.csv")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stderr) == (1, MESSAGES["overflowing model"] + "\n")
+
+
+@pytest.mark.parametrize(
+    "selector,expected",
+    [
+        ({"kind": "fixed", "gamma": 0.25}, FixedGamma(0.25)),
+        ({"kind": "cv"}, CvSelector(K=5, grid_size=DEFAULT_GRID_SIZE)),
+        ({"kind": "cv", "K": 3, "grid_size": 4}, CvSelector(K=3, grid_size=4)),
+        ({"kind": "cv", "grid": [0.3, 0.6]}, CvSelector(K=5, grid=(0.3, 0.6))),
+        ({"kind": "rot"}, RotSelector(m=DEFAULT_LAG)),
+        ({"kind": "rot", "m": 3}, RotSelector(m=3)),
+    ],
+)
+def test_selector_config_builds_the_class_its_kind_names(tmp_path, selector, expected):
+    config = write_config(tmp_path, "clt.json", {**CLT_MIN, "selector": selector})
+    cfg = bmckde.cli.load_config(argparse.Namespace(config=config), "clt-check")
+    assert bmckde.cli._selector(cfg["selector"]) == expected
 
 
 def test_each_schema_is_meta_checked_at_most_once_per_process(tmp_path, capsys, monkeypatch):
