@@ -11,6 +11,11 @@
 # number of pairs the change wins (ties count for neither side), and whether
 # the medians differ by more than the parent's interquartile range.  Any run
 # that is not `correct` is named.  It only reads what perfbench prints.
+#
+# Given the same checkout twice (PARENT_DIR and CHANGE_DIR resolve to one
+# directory), it makes an A/A run and says so on its first output line: the
+# wins and median gap it then prints are this machine's noise, against which
+# an A/B claim on the same workload can be read.
 set -eu
 if [ $# -ne 5 ]; then
     echo "usage: $0 PARENT_DIR CHANGE_DIR WORKLOAD SEED PAIRS" >&2
@@ -18,6 +23,9 @@ if [ $# -ne 5 ]; then
 fi
 parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
+if [ "$parent" = "$change" ]; then
+    echo "A/A run: both sides are $parent"
+fi
 workload=$3
 seed=$4
 pairs=$5

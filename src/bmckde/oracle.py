@@ -11,6 +11,7 @@ form exists.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -74,6 +75,22 @@ def default_grid(params: BarParams) -> np.ndarray:
     half_width = max(10.0 * sd, 7.0 * params.sigma / (1.0 - a_max) if a_max < 1 else 12.0 * sd)
     half_width += abs(center)
     return np.linspace(-half_width, half_width, GRID_NODES)
+
+
+def _check_magnitudes(params: BarParams, x: float, n: int) -> None:
+    """Reject a model whose generation-n sums from x overflow float64 when squared.
+
+    A generation-n value is at most about A^n (|x| + n (max |b| + 10 sigma))
+    with A = max(1, |a0|, |a1|); the moment table squares sums of 2^n of
+    them.  The bound is taken in logarithms, so it cannot overflow itself.
+    """
+    a = max(1.0, abs(params.a0), abs(params.a1))
+    spread = abs(x) + n * (max(abs(params.b0), abs(params.b1)) + 10.0 * params.sigma)
+    if not 2.0 * (n * math.log(2.0 * a) + math.log1p(spread)) < math.log(sys.float_info.max):
+        raise ValueError(
+            f"coefficients a0={params.a0:g}, a1={params.a1:g}, b0={params.b0:g}, b1={params.b1:g}, "
+            f"sigma={params.sigma:g} overflow float64 within {n} generations from x={x:g}"
+        )
 
 
 def grid_function(nodes: np.ndarray, fn) -> GridFunction:
@@ -268,6 +285,7 @@ def moment_check_table(
         raise ValueError("need 0 <= m <= n <= 5")
     if replications < 2:
         raise ValueError("need at least 2 replications for a standard error")
+    _check_magnitudes(params, x, n)
     grid = default_grid(params)
     f_id = grid_function(grid, lambda y: y)
     f_bump = grid_function(grid, gaussian_bump())

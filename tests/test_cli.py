@@ -332,6 +332,7 @@ def test_estimate_writes_meta_next_to_output(tmp_path):
 # -- sidecars re-run their command ---------------------------------------------
 
 CLT_MODEL = {"a0": 0.5, "a1": 0.5, "sigma": 1.0}
+ORACLE_OVERFLOW = {"sigma": 1.0, "n": 3, "m": 2, "replications": 100}
 OUTPUTS = {
     "simulate": "tree.csv",
     "estimate": "phat.csv",
@@ -521,6 +522,10 @@ INVALID = {
     "stationary start with x0": ("simulate", {**SIM, "init": "stationary", "x0": 7.5}, None, []),
     # a model whose values overflow to infinity within the tree's depth
     "overflowing model": ("simulate", {**SIM, "a0": 1e200, "a1": 1e200, "n": 3}, None, []),
+    # the oracle's squared generation sums overflow: a0**2 itself at 1e200,
+    # the simulated sums at 1e150
+    "oracle overflowing model 1e200": ("oracle-check", {**ORACLE_OVERFLOW, "a0": 1e200, "a1": 1e200}, None, []),
+    "oracle overflowing model 1e150": ("oracle-check", {**ORACLE_OVERFLOW, "a0": 1e150, "a1": 1e150}, None, []),
 }
 # what stderr must say, where more than "error:"
 MESSAGES = {
@@ -537,6 +542,12 @@ MESSAGES = {
     "figure case spelled case1": "at case: 'case1' is not one of ['1', '2']",
     "stationary start with x0": "('x0' was unexpected)",
     "overflowing model": "error: tree values must be finite (NaN or infinity found)",
+    "oracle overflowing model 1e200": (
+        "error: coefficients a0=1e+200, a1=1e+200, b0=0, b1=0, sigma=1 overflow float64 within 3 generations from x=0.5"
+    ),
+    "oracle overflowing model 1e150": (
+        "error: coefficients a0=1e+150, a1=1e+150, b0=0, b1=0, sigma=1 overflow float64 within 3 generations from x=0.5"
+    ),
 }
 
 
@@ -557,9 +568,9 @@ def test_invalid_config_exits_1_and_writes_nothing(tmp_path, capsys, case):
     argv += ["--tree", tree] if command in TREE_COMMANDS else []
     assert main(argv) == 1
     err = capsys.readouterr().err
+    # the error line alone, with no numpy warning before it
+    assert err.startswith("error:") and err.count("\n") == 1
     assert MESSAGES.get(case, "error:") in err
-    if case == "overflowing model":  # the error line alone, no numpy warning before it
-        assert err == MESSAGES[case] + "\n"
     assert os.listdir(out_dir) == []
 
 

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -94,10 +96,10 @@ def test_thread_pool_merges_identically():
 
 
 class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records its size and maps in this process."""
+    """Stands in for ProcessPoolExecutor: records its size and initializer, maps in this process."""
 
-    def __init__(self, sizes, max_workers):
-        sizes.append(max_workers)
+    def __init__(self, pools, max_workers, initializer=None):
+        pools.append((max_workers, initializer))
 
     def __enter__(self):
         return self
@@ -111,14 +113,80 @@ class _InProcessPool:
 
 @pytest.mark.parametrize("cpus, threads, workers", [(2, 16, 2), (16, 4, 4), (16, 16, 12), (1, 4, None)])
 def test_clt_pool_is_capped_by_cpus_and_tasks(monkeypatch, cpus, threads, workers):
-    # 12 tasks; no pool at all when the cap leaves one worker
-    sizes = []
+    # 12 tasks; no pool at all when the cap leaves one worker, and every pool
+    # retunes its workers' allocator
+    pools = []
     monkeypatch.setattr(estimators, "_THREADS", cpus)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda max_workers: _InProcessPool(sizes, max_workers))
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda **kw: _InProcessPool(pools, **kw))
     pooled = run_clt_p_hat(small_spec(n_list=(4, 5), replications=6, threads=threads))
     serial = run_clt_p_hat(small_spec(n_list=(4, 5), replications=6, threads=1))
-    assert sizes == ([] if workers is None else [workers])
+    assert pools == ([] if workers is None else [(workers, harness._keep_freed_arrays)])
     assert pooled.rows == serial.rows
+
+
+class _NoMallopt:
+    """A C library without mallopt, as ctypes.CDLL(None) gives on a non-glibc system."""
+
+    def __init__(self, name):
+        pass
+
+
+def _no_c_library(name):
+    raise OSError("no C library to load")
+
+
+@pytest.mark.parametrize("cdll", [_NoMallopt, _no_c_library])
+def test_allocator_initializer_skips_a_c_library_without_mallopt(monkeypatch, cdll):
+    import ctypes
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert harness._keep_freed_arrays() is None
+
+
+def test_serial_clt_run_never_retunes_the_calling_process(monkeypatch):
+    def retune():
+        raise AssertionError("the calling process's allocator was retuned")
+
+    monkeypatch.setattr(harness, "_keep_freed_arrays", retune)
+    assert run_clt_p_hat(small_spec(replications=4, threads=1)).rows == run_clt_p_hat(small_spec(replications=4)).rows
+
+
+def _has_mallopt() -> bool:
+    import ctypes
+
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+_FAULTS = """
+import resource
+from bmckde import harness
+from bmckde.bar import BarParams
+
+harness._keep_freed_arrays()
+spec = harness.ExperimentSpec(model=BarParams(0.5, 0.5), n_list=(14,), replications=11)
+faults = []
+for rep in range(11):  # the first replication warms the heap up
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    harness._clt_replication((spec, 14, rep, "p_hat", 0.0, 1.0))
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults[1:])
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_pool_worker_replications_reuse_their_pages():
+    # a fresh interpreter, as a pool worker starts: after one warm-up, a
+    # depth-14 stationary replication finds its arrays on the heap instead of
+    # faulting hundreds of fresh pages in
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _FAULTS], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+    )
+    faults = [int(f) for f in done.stdout.split()]
+    assert len(faults) == 10 and max(faults) < 16, faults
 
 
 def test_depths_merge_in_n_list_order_at_any_worker_count():
