@@ -82,24 +82,25 @@ def simulate(params: BarParams, n: int, init: InitSpec, seed: int) -> TreeSample
     The tree is built in place in the array the sample keeps, which
     rejects a tree with non-finite values (a model that overflows).
     """
-    return TreeSample(_simulate_trees(params, n, init, [seed])[0])
+    return TreeSample(simulate_trees(params, n, init, [seed])[0])
 
 
 def simulate_levels(params: BarParams, n: int, init: InitSpec, seeds) -> list[np.ndarray]:
     """Levels 0..n+1 of one tree per seed: level k is an (R, 2^k) array.
 
-    Row r of every level is bitwise ``simulate(params, n, init, seeds[r])``.
-    The levels are views of one (R, 2^(n+2) - 1) array, one heap-ordered
-    tree per row.
+    The levels are views of the ``simulate_trees`` array, so row r of every
+    level is bitwise ``simulate(params, n, init, seeds[r])``.
     """
-    trees = _simulate_trees(params, n, init, seeds)
+    trees = simulate_trees(params, n, init, seeds)
     return [trees[:, level_slice(k)] for k in range(n + 2)]
 
 
-def _simulate_trees(params: BarParams, n: int, init: InitSpec, seeds) -> np.ndarray:
+def simulate_trees(params: BarParams, n: int, init: InitSpec, seeds) -> np.ndarray:
     """One heap-ordered tree per seed, an (R, 2^(n+2) - 1) array.
 
-    Generation k of row r is ``level_slice(k)``, as in ``TreeSample``.  One
+    Row r is bitwise the array of ``simulate(params, n, init, seeds[r])``,
+    and its generation k is ``level_slice(k)``, as in ``TreeSample``; the
+    rows are not checked as trees, ``TreeSample`` does that.  One
     bit generator is re-keyed to each (seed, stream) in turn, each seed
     reaching ``rekey`` as given, and each generation of all rows is one pass
     of the per-tree expressions, written straight into its slice: the

@@ -6,13 +6,16 @@ binning or FFT shortcuts, done by one primitive over a tensor grid of
 evaluation points.  It keeps the daughter axes' kernel rows whole and forms
 the products in two reused cache-sized buffers; every value is still one
 contiguous sum over the sample.  The scalar estimators are one-point grids,
-so grid evaluations agree bitwise with scalar calls by construction.  A grid
-of more than one unit is computed by a pool of worker threads, one per CPU
-the process may use, each pinned to its own CPU, with its own buffers; the
-executor's queue gives the next unit to whichever thread is free, and the
-values are the same bits at any thread count.  The same pool runs the
-cross-validation sweep in ``cv``.  Calls of one unit, and calls inside a
-``multiprocessing`` worker, stay on the calling thread.
+so grid evaluations agree bitwise with scalar calls by construction.  The
+primitive also takes a stack of same-size samples, one tree per row, with a
+bandwidth per tree (``mu_tri_at``, ``p_at``), and gives each tree the bits
+of its one-tree call; the CLT harness estimates a block of trees that way.
+A grid of more than one unit is computed by a pool of worker threads, one
+per CPU the process may use, each pinned to its own CPU, with its own
+buffers; the executor's queue gives the next unit to whichever thread is
+free, and the values are the same bits at any thread count.  The same pool
+runs the cross-validation sweep in ``cv``.  Calls of one unit, and calls
+inside a ``multiprocessing`` worker, stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -94,17 +97,22 @@ def _worker_pool(units):
 def _kernel_sums(columns, bandwidths, axes) -> np.ndarray:
     """Normalized product-kernel sums at every point of the tensor grid of ``axes``.
 
-    ``axes`` is (x,) or (x, x0, x1), each 1-D and finite.  Coordinate j of a
-    grid point a contributes K0((a_j - columns[j]) / bandwidths[j]) per sample
-    member; the value is the sum over the sample of the product of those
-    factors, divided by N times the bandwidths.  Values come flattened in C
-    order (first axis slowest).  The x0 and x1 kernel rows are kept whole, the
-    x rows computed in blocks.  The products ``k0 * k1`` of one x0 row with a
-    chunk of x1 rows (the whole axis, for several x0 rows, when it fits) go
-    into a reused buffer, and each x row is multiplied into a second one and
-    summed.  Every value is the contiguous row sum of ``kx * (k0 * k1)``, so
-    any grid agrees bitwise with one-point grids.  Buffers hold at most
-    ``_BLOCK_ENTRIES`` entries, or one row if it is longer.
+    ``columns`` are one tree's sample, each 1-D of length N, or a stack of R
+    same-size samples, each (R, N), one tree per row; a bandwidth is a number,
+    or one per tree of a stack.  ``axes`` is (x,) or (x, x0, x1), each 1-D
+    and finite.  Coordinate j of a grid point a contributes
+    K0((a_j - columns[j]) / bandwidths[j]) per sample member; the value is
+    the sum over the sample of the product of those factors, divided by N
+    times the bandwidths.  Values come flattened in C order (first axis
+    slowest), one row of them per tree of a stack.  The x0 and x1 kernel rows
+    are kept whole, the x rows computed in blocks.  The products ``k0 * k1``
+    of one x0 row with a chunk of x1 rows (the whole axis, for several x0
+    rows, when it fits) go into a reused buffer, and each x row is
+    multiplied into a second one and summed.  Every value is the contiguous
+    row sum of ``kx * (k0 * k1)``, every tree of a stack is computed as it
+    would be alone, so any grid agrees bitwise with one-point grids and any
+    stack with one-tree calls.  Buffers hold at most ``_BLOCK_ENTRIES``
+    entries, or one row per tree if that is more.
 
     The kernel-row blocks, then the (x block, x0 rows) product units, each
     looping over its x1 chunks, are mapped over the threads of one
@@ -116,63 +124,83 @@ def _kernel_sums(columns, bandwidths, axes) -> np.ndarray:
     estimate) and calls inside a ``multiprocessing`` worker run on the
     calling thread.
     """
+    stacked = columns[0].ndim == 2
+    columns = [col if stacked else col[None] for col in columns]
+    trees, size = columns[0].shape
+    hs = []
     for h in bandwidths:
-        if not (h > 0 and math.isfinite(h)):
+        if np.ndim(h):
+            h = np.asarray(h, dtype=float)
+            if h.shape != (trees,):
+                raise ValueError("one bandwidth per tree of the stack")
+            ok = ((h > 0) & (h < math.inf)).all()  # NaN fails both
+            h = h.reshape(-1, 1, 1)
+        else:
+            ok = h > 0 and math.isfinite(h)
+        if not ok:
             raise ValueError("bandwidth must be positive and finite")
+        hs.append(h)
     for ax in axes:
         if ax.ndim != 1 or not np.all(np.isfinite(ax)):
             raise ValueError("grid axes must be 1-D and finite")
-    size = columns[0].size
     if size == 0:
         raise ValueError("empty index set")
-    step = max(1, _BLOCK_ENTRIES // size)  # kernel rows per buffer
-    trailing = [np.empty((ax.size, size)) for ax in axes[1:]]
+    step = max(1, _BLOCK_ENTRIES // (trees * size))  # kernel rows per tree per buffer
+    trailing = [np.empty((trees, ax.size, size)) for ax in axes[1:]]
     row_blocks = [
-        (rows[i : i + step], ax[i : i + step], col, h)
-        for rows, ax, col, h in zip(trailing, axes[1:], columns[1:], bandwidths[1:])
+        (rows[:, i : i + step], ax[i : i + step], col, h)
+        for rows, ax, col, h in zip(trailing, axes[1:], columns[1:], hs[1:])
         for i in range(0, ax.size, step)
     ]
-    out = np.empty((axes[0].size, math.prod(ax.size for ax in axes[1:])))
+    out = np.empty((trees, axes[0].size, math.prod(ax.size for ax in axes[1:])))
     lead_blocks = range(0, axes[0].size, step)
     if trailing:
         k0, k1 = trailing
-        chunk = min(step, len(k1))
-        group = min(len(k0), max(1, step // len(k1)))  # x0 rows per unit
-        units = [(a0, i0) for a0 in lead_blocks for i0 in range(0, len(k0), group)]
+        n0, n1 = k0.shape[1], k1.shape[1]
+        chunk = min(step, n1)
+        group = min(n0, max(1, step // n1))  # x0 rows per unit
+        units = [(a0, i0) for a0 in lead_blocks for i0 in range(0, n0, group)]
     else:
         units = [(a0, 0) for a0 in lead_blocks]
     mine = threading.local()  # per thread: its x block's kernel rows and its two product buffers
 
+    def kernel_rows(ax, col, h):
+        return gaussian((ax[None, :, None] - col[:, None, :]) / h)
+
     def fill_rows(block):
         rows, ax, col, h = block
-        rows[...] = gaussian((ax[:, None] - col[None, :]) / h)
+        rows[...] = kernel_rows(ax, col, h)
 
     def fill_products(unit):
         a0, i0 = unit
         if getattr(mine, "lead_at", None) != a0:  # a thread may take any unit next
-            mine.lead = gaussian((axes[0][a0 : a0 + step, None] - columns[0][None, :]) / bandwidths[0])
+            mine.lead = kernel_rows(axes[0][a0 : a0 + step], columns[0], hs[0])
             mine.lead_at = a0
         if not trailing:
-            out[a0 : a0 + step, 0] = np.sum(mine.lead, axis=-1)
+            out[:, a0 : a0 + step, 0] = np.sum(mine.lead, axis=-1)
             return
         if not hasattr(mine, "tail"):  # the thread's first unit
-            mine.tail, mine.prod = np.empty((2, group * chunk, size))
-        r0 = k0[i0 : i0 + group, None]
-        for i1 in range(0, len(k1), chunk):
-            r1 = k1[i1 : i1 + chunk]
-            block, scratch = mine.tail[: len(r0) * len(r1)], mine.prod[: len(r0) * len(r1)]
-            np.multiply(r0, r1, out=block.reshape(len(r0), len(r1), size))
-            t0 = i0 * len(k1) + i1
-            for i, row in enumerate(mine.lead):
-                out[a0 + i, t0 : t0 + len(block)] = np.sum(np.multiply(row, block, out=scratch), axis=-1)
+            mine.tail, mine.prod = np.empty((2, trees * group * chunk, size))
+        r0 = k0[:, i0 : i0 + group, None]
+        for i1 in range(0, n1, chunk):
+            r1 = k1[:, None, i1 : i1 + chunk]
+            m = r0.shape[1] * r1.shape[2]
+            block = mine.tail[: trees * m].reshape(trees, m, size)
+            scratch = mine.prod[: trees * m].reshape(trees, m, size)
+            np.multiply(r0, r1, out=block.reshape(trees, r0.shape[1], r1.shape[2], size))
+            t0 = i0 * n1 + i1
+            for i in range(mine.lead.shape[1]):
+                row = mine.lead[:, i, None]
+                out[:, a0 + i, t0 : t0 + m] = np.sum(np.multiply(row, block, out=scratch), axis=-1)
 
     with _worker_pool(len(units)) as pmap:
         list(pmap(fill_rows, row_blocks))
         list(pmap(fill_products, units))
     norm = size
-    for h in bandwidths:
+    for h in hs:
         norm = norm * h
-    return out.ravel() / norm
+    values = (out / norm).reshape(trees, -1)
+    return values if stacked else values[0]
 
 
 def _quotient(num, den):
@@ -199,8 +227,7 @@ def mu_tri_hat(
     Triple-product kernel sum over the triangles of the index set, normalized
     by N * h * h0 * h1 so the estimate integrates to one.
     """
-    point = tuple(np.array([v], dtype=float) for v in (x, x0, x1))
-    return float(_kernel_sums(sample.triangle_arrays(population), (bw.h, bw.h0, bw.h1), point)[0])
+    return float(mu_tri_at(sample.triangle_arrays(population), (bw.h, bw.h0, bw.h1), (x, x0, x1)))
 
 
 def p_hat(
@@ -214,8 +241,26 @@ def p_hat(
 ) -> float:
     """Quotient estimate of the transition density, numerator and denominator
     smoothed with their own bandwidths; 0 when the denominator underflows."""
-    den = mu_hat(sample, population, h_den, x)
-    return float(_quotient(mu_tri_hat(sample, population, bw_num, x, x0, x1), den))
+    return float(p_at(sample.triangle_arrays(population), (bw_num.h, bw_num.h0, bw_num.h1), h_den, (x, x0, x1)))
+
+
+def mu_tri_at(columns, bandwidths, point) -> np.ndarray:
+    """``mu_tri_hat`` at ``point`` = (x, x0, x1) for each tree of ``columns``.
+
+    ``columns`` are the (parents, children0, children1) of one tree, 1-D, or
+    of a stack of trees, (R, N) as ``tree.triangle_columns`` gives them;
+    ``bandwidths`` is (h, h0, h1), each a number or one per tree.  Each
+    tree's value is the bits ``mu_tri_hat`` gives it alone.
+    """
+    axes = tuple(np.array([v], dtype=float) for v in point)
+    return _kernel_sums(columns, bandwidths, axes)[..., 0]
+
+
+def p_at(columns, bandwidths, h_den, point) -> np.ndarray:
+    """``p_hat`` at ``point`` for each tree of ``columns``, as ``mu_tri_at``;
+    ``h_den`` is a number or one per tree."""
+    den = _kernel_sums(columns[:1], (h_den,), (np.array([point[0]], dtype=float),))[..., 0]
+    return _quotient(mu_tri_at(columns, bandwidths, point), den)
 
 
 @dataclass

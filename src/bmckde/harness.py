@@ -1,11 +1,17 @@
 """Monte Carlo experiment driver: replications, standardized statistics, figures.
 
 Each replication simulates a fresh tree from a seed derived from the master
-seed and the replication index, so reports are bit-identical across runs and
-across worker-pool sizes; merging is by replication index.  The pool
-workers keep freed replication arrays on glibc's heap instead of handing them
-back to the OS; the calling process's allocator is never changed, other C
-libraries skip the setting, and results stay byte-identical at any pool size.
+seed and the replication index.  A CLT run's unit of work is a block of
+replications at one depth, about ``_BLOCK_VALUES`` tree values of them (one
+tree under cross-validation): one simulation pass builds the block's trees,
+each gets its own bandwidths, and one estimator call computes every tree's
+statistic, each to the bits of its one-tree call.  Block boundaries depend
+only on the depth, the replication count and the selector kind, so reports
+are bit-identical across runs, block sizes and worker-pool sizes; merging is
+by replication index.  The pool workers keep freed block arrays on glibc's
+heap instead of handing them back to the OS; the calling process's allocator
+is never changed, other C libraries skip the setting, and results stay
+byte-identical at any pool size.
 """
 
 from __future__ import annotations
@@ -18,15 +24,20 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .bar import BarParams, InitSpec, mu_triangle, simulate, transition_density_p
+from .bar import BarParams, InitSpec, mu_triangle, simulate, simulate_trees, transition_density_p
 from .cv import DEFAULT_GRID_SIZE, cv_select, default_grid
-from .estimators import EstimatorSpec, evaluate_on_grid, mu_tri_hat, p_hat
+from .estimators import EstimatorSpec, evaluate_on_grid, mu_tri_at, p_at
 from .kernels import BandwidthTriple
 from .rng import derive_seed
 from .rot import DEFAULT_LAG, rot_select
 from .table import write_csv, write_text
-from .tree import Population, tree_size
+from .tree import Population, TreeSample, tree_size, triangle_columns
 from . import estimators, oracle
+
+# tree values per CLT block: a pool task simulates and estimates the
+# replications of one depth in blocks of this many values (at least one
+# tree); rows are the same bits at any block size
+_BLOCK_VALUES = 1 << 18
 
 CASE1 = BarParams(0.7, 0.5, 0.0, 0.0, 1.0, 0.0)
 CASE2 = BarParams(1.2, 0.7, 0.0, 0.0, 1.0, 0.0)  # supercritical first branch
@@ -160,27 +171,52 @@ def _bandwidths_for(sample, selector: Selector, n: int, cv_seed: int) -> tuple[B
     return BandwidthTriple(sel.h_n_hat, sel.h_0n_hat, sel.h_1n_hat), sel.h_d_hat
 
 
-def _clt_replication(args) -> tuple:
-    spec, n, rep, statistic, truth, sigma2 = args
-    seed = derive_seed(spec.seed, rep + (n << 32))
-    sample = simulate(spec.model, n, InitSpec.stationary(), seed)
-    bw, h_den = _bandwidths_for(sample, spec.selector, n, seed)
-    x, x0, x1 = spec.point
+def _blocks(n: int, replications: int, selector: Selector) -> list[range]:
+    """Replication indices of each block at depth n, in order.
+
+    A block holds as many depth-n trees as fit in ``_BLOCK_VALUES`` values,
+    at least one, so its boundaries depend only on n, the count and the
+    selector's kind.  Blocks save a fixed per-call cost per tree, a fraction
+    of a millisecond; a cross-validated tree costs tens of milliseconds to
+    seconds more to select, so under ``CvSelector`` a block is one tree and
+    the pool keeps one task per replication.
+    """
+    per_block = 1 if isinstance(selector, CvSelector) else max(1, _BLOCK_VALUES // ((1 << (n + 2)) - 1))
+    return [range(b, min(b + per_block, replications)) for b in range(0, replications, per_block)]
+
+
+def _clt_block(args) -> list[tuple]:
+    """Rows of the replications ``reps`` at depth n, from one simulation pass.
+
+    The trees are the rows of one ``simulate_trees`` array, each bitwise its
+    seed's ``simulate``; each is checked as a ``TreeSample`` and gets its own
+    bandwidths.  One ``mu_tri_at`` or ``p_at`` call estimates every tree at
+    once, each to the bits of its one-tree ``mu_tri_hat`` or ``p_hat``.
+    """
+    spec, n, reps, statistic, truth, sigma2 = args
+    seeds = [derive_seed(spec.seed, rep + (n << 32)) for rep in reps]
+    trees = simulate_trees(spec.model, n, InitSpec.stationary(), seeds)
+    chosen = [_bandwidths_for(TreeSample(tree), spec.selector, n, seed) for tree, seed in zip(trees, seeds)]
+    columns = triangle_columns(trees, spec.population)
+    bws = tuple(np.array([(bw.h, bw.h0, bw.h1) for bw, _ in chosen]).T)
     if statistic == "p_hat":
-        est = p_hat(sample, spec.population, bw, h_den, x, x0, x1)
+        est = p_at(columns, bws, np.array([h_den for _, h_den in chosen]), spec.point)
     else:
-        est = mu_tri_hat(sample, spec.population, bw, x, x0, x1)
+        est = mu_tri_at(columns, bws, spec.point)
     size = (1 << n) if spec.population is Population.GEN_N else tree_size(n)
-    z = math.sqrt(size * bw.h**3) * (est - truth) / math.sqrt(sigma2)
-    return rep, seed, n, bw.h, h_den, est, z
+    rows = []
+    for rep, seed, (bw, hd), e in zip(reps, seeds, chosen, est.tolist()):
+        z = math.sqrt(size * bw.h**3) * (e - truth) / math.sqrt(sigma2)
+        rows.append((rep, seed, n, bw.h, hd, e, z))
+    return rows
 
 
 def _keep_freed_arrays() -> None:
     """Pool-worker initializer: glibc keeps freed arrays on its heap.
 
-    A depth-14 replication frees its tree and its temporaries, hundreds of KB
-    each; by default glibc returns them to the OS and the next replication
-    faults them in again, about 300 minor faults each.  Other C libraries
+    A depth-14 block frees its trees and its temporaries, hundreds of KB
+    each; by default glibc returns them to the OS and the next block faults
+    them in again, hundreds of minor faults each.  Other C libraries
     have no ``mallopt`` and are left as they are.
     """
     import ctypes
@@ -202,19 +238,20 @@ def _run_clt(spec: ExperimentSpec, statistic: str) -> ExperimentReport:
     # deepest depths first, so a pool's last chunks are its cheapest
     order = sorted(range(len(spec.n_list)), key=lambda i: spec.n_list[i], reverse=True)
     tasks = [
-        (spec, spec.n_list[i], rep, statistic, truth, sigma2)
+        (spec, spec.n_list[i], reps, statistic, truth, sigma2)
         for i in order
-        for rep in range(spec.replications)
+        for reps in _blocks(spec.n_list[i], spec.replications, spec.selector)
     ]
-    # outputs are the same at any pool size, so more workers than tasks or
+    # outputs are the same at any pool size, so more workers than blocks or
     # than CPUs the process may use would only cost start-up; only the
     # workers' allocator is retuned, never the caller's
     workers = min(spec.threads, len(tasks), estimators._THREADS)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_keep_freed_arrays) as pool:
-            results = list(pool.map(_clt_replication, tasks, chunksize=16))
+            blocks = list(pool.map(_clt_block, tasks, chunksize=4))
     else:
-        results = [_clt_replication(t) for t in tasks]
+        blocks = [_clt_block(t) for t in tasks]
+    results = [row for block in blocks for row in block]
     by_depth = {i: results[j * spec.replications : (j + 1) * spec.replications] for j, i in enumerate(order)}
     report = ExperimentReport(rows=[])
     for i, n in enumerate(spec.n_list):

@@ -7,11 +7,13 @@ order: node (k, r) sits at flat index i = 2^k - 1 + r, and its daughters at
 2i + 1 and 2i + 2.  Generation k is the slice [2^k - 1, 2^(k+1) - 1), and
 the mothers of one generation or of the whole tree, with their first and
 second daughters, are three slices of the same array, so index sets are
-views and nothing is copied to form them.  ``TreeSample`` has one
-constructor, which adopts such an array and makes every check a tree gets,
-whether it was simulated or read.  The ``.f64`` file format is this array
-written as it is, and it is read back without a copy; the CSV format adds
-each index's generation and rank to it, and is read in one parse.
+views and nothing is copied to form them; ``triangle_columns`` forms them
+the same way for a stack of same-depth trees, one per row.  ``TreeSample``
+has one constructor, which adopts such an array and makes every check a
+tree gets, whether it was simulated or read.  The ``.f64`` file format is
+this array written as it is, and it is read back without a copy; the CSV
+format adds each index's generation and rank to it, and is read in one
+parse.
 """
 
 from __future__ import annotations
@@ -49,6 +51,18 @@ def tree_size(n: int) -> int:
 def level_slice(k: int) -> slice:
     """Flat indices of generation k in a heap-ordered array."""
     return slice((1 << k) - 1, (1 << (k + 1)) - 1)
+
+
+def triangle_columns(values: np.ndarray, population: Population) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(parents, children0, children1) of the index set, along the last axis of ``values``.
+
+    ``values`` holds one heap-ordered tree of levels 0..depth+1 per row along
+    its last axis (a 1-D array is one tree); the columns are views of it.
+    """
+    n = values.shape[-1].bit_length() - 2
+    lo = (1 << n) - 1 if population is Population.GEN_N else 0
+    hi = (1 << (n + 1)) - 1
+    return values[..., lo:hi], values[..., 2 * lo + 1 : 2 * hi + 1 : 2], values[..., 2 * lo + 2 : 2 * hi + 2 : 2]
 
 
 def _index_columns(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -109,11 +123,7 @@ class TreeSample:
         The three columns are read-only views of the stored array (the
         daughter columns strided), not copies.
         """
-        n = self.depth
-        lo = (1 << n) - 1 if population is Population.GEN_N else 0
-        hi = (1 << (n + 1)) - 1
-        f = self._values
-        return f[lo:hi], f[2 * lo + 1 : 2 * hi + 1 : 2], f[2 * lo + 2 : 2 * hi + 2 : 2]
+        return triangle_columns(self._values, population)
 
     # -- serialization ------------------------------------------------------
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -268,13 +269,16 @@ def test_flags_only_where_they_have_an_effect(tmp_path):
         {"estimator": "p", "h": float("nan"), "bw": [0.3, 0.3, 0.3], "grid": {"x": [0.0], "x0": [0.0], "x1": [0.0]}},
     ],
 )
-def test_estimate_nonfinite_bandwidth_exit_1(tmp_path, doc):
+def test_estimate_nonfinite_bandwidth_exit_1(tmp_path, capsys, doc):
     cfg = write_config(tmp_path, "sim.json", SIM)
     tree_path = str(tmp_path / "tree.csv")
     assert main(["simulate", "--config", cfg, "--out", tree_path]) == 0
     est_cfg = write_config(tmp_path, "est.json", doc)  # json writes NaN, which the schema lets through
     out = str(tmp_path / "o.csv")
+    capsys.readouterr()
     assert main(["estimate", "--tree", tree_path, "--config", est_cfg, "--out", out]) == 1
+    # the one-tree message, from the estimator or from BandwidthTriple
+    assert re.fullmatch(r"error: bandwidth (h[01]? )?must be positive and finite\n", capsys.readouterr().err)
     assert not os.path.exists(out)
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bmckde import estimators
-from bmckde.bar import BarParams, InitSpec, simulate
+from bmckde.bar import BarParams, InitSpec, simulate, simulate_trees
 from bmckde.estimators import (
     DENOMINATOR_FLOOR,
     EstimatorSpec,
@@ -27,7 +27,7 @@ from bmckde.estimators import (
     product_points,
 )
 from bmckde.kernels import L2_NORM_SQ, BandwidthTriple, gaussian
-from bmckde.tree import Population, TreeSample
+from bmckde.tree import Population, TreeSample, triangle_columns
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -399,6 +399,81 @@ def test_grid_values_equal_naive_formula_bitwise(population, rows):
     assert mu.values.tobytes() == np.array([den[x] for x in axes[0]]).tobytes()
     assert tri.values.tobytes() == np.array(num).tobytes()
     assert p.values.tobytes() == np.array(quotient).tobytes()
+
+
+@given(
+    depth=st.integers(0, 6),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+    population=st.sampled_from(list(Population)),
+    rows=st.lists(st.tuples(_bandwidth, _bandwidth, _bandwidth, _bandwidth), min_size=4, max_size=4),
+    shared=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
+    axes=st.tuples(_axis_values, _axis_values, _axis_values),
+    block=st.sampled_from([1, 100, 400, 2000, estimators._BLOCK_ENTRIES]),
+)
+# depths 1 and 2: samples shorter than numpy's 8-wide pairwise unroll; the
+# whole tree has 2^(n+1) - 1 members, not a power of two
+@example(
+    depth=1, seeds=[1, 2, 3], population=Population.TREE_N, rows=[(0.3, 0.2, 0.4, 0.5)] * 4,
+    shared=(False,) * 4, axes=([0.0], [0.0], [0.0]), block=1 << 16,
+)
+@example(
+    depth=2, seeds=[4, 5], population=Population.GEN_N, rows=[(0.3, 0.2, 0.4, 0.5), (0.6, 0.1, 0.3, 0.2)] * 2,
+    shared=(False, True, False, False), axes=([0.0, 1.0], [0.5], [0.0, -1.0]), block=1,
+)
+@settings(max_examples=40, deadline=None)
+def test_stacked_values_equal_per_tree_calls_bitwise(depth, seeds, population, rows, shared, axes, block):
+    # a stack of trees with a bandwidth per tree (or one for all) gives each
+    # tree the bits of its own one-tree call, on grids and at single points
+    trees = len(seeds)
+    hs = tuple(rows[0][j] if shared[j] else np.array([row[j] for row in rows[:trees]]) for j in range(4))
+    stack = simulate_trees(BarParams(0.7, 0.5), depth, InitSpec.dirac(0.0), seeds)
+    columns = triangle_columns(stack, population)
+    axes = tuple(np.array(a) for a in axes)
+    point = tuple(float(a[0]) for a in axes)
+    with mock.patch.object(estimators, "_BLOCK_ENTRIES", block):
+        tri = estimators._kernel_sums(columns, hs[1:], axes)
+        mu = estimators._kernel_sums(columns[:1], hs[:1], axes[:1])
+        tri_at = estimators.mu_tri_at(columns, hs[1:], point)
+        p_values = estimators.p_at(columns, hs[1:], hs[0], point)
+        assert tri.shape == (trees, math.prod(a.size for a in axes)) and mu.shape == (trees, axes[0].size)
+        for r in range(trees):
+            sample = TreeSample(stack[r])
+            one = [h if shared[j] else float(h[r]) for j, h in enumerate(hs)]
+            alone = sample.triangle_arrays(population)
+            assert tri[r].tobytes() == estimators._kernel_sums(alone, one[1:], axes).tobytes()
+            assert mu[r].tobytes() == estimators._kernel_sums(alone[:1], one[:1], axes[:1]).tobytes()
+            bw = BandwidthTriple(*one[1:])
+            assert bits(tri_at[r]) == bits(mu_tri_hat(sample, population, bw, *point))
+            assert bits(p_values[r]) == bits(p_hat(sample, population, bw, one[0], *point))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_stacked_call_rejects_a_bad_bandwidth_in_any_one_tree(bad):
+    columns = triangle_columns(simulate_trees(BarParams(0.7, 0.5), 3, InitSpec.dirac(0.0), [1, 2, 3]), Population.GEN_N)
+    point = (0.0, 0.0, 0.0)
+    for j in range(3):
+        for r in range(3):
+            hs = np.full((3, 3), 0.3)
+            hs[j, r] = bad
+            with pytest.raises(ValueError, match="^bandwidth must be positive and finite$"):
+                estimators.mu_tri_at(columns, tuple(hs), point)
+            with pytest.raises(ValueError, match="^bandwidth must be positive and finite$"):
+                estimators.p_at(columns, (0.3, 0.3, 0.3), hs[j], point)
+
+
+def test_stacked_call_rejects_an_empty_index_set_and_a_bandwidth_per_missing_tree():
+    point = (0.0, 0.0, 0.0)
+    for empty in (np.empty(0), np.empty((3, 0))):
+        with pytest.raises(ValueError, match="empty index set"):
+            estimators.mu_tri_at((empty,) * 3, (0.3, 0.3, 0.3), point)
+        with pytest.raises(ValueError, match="empty index set"):
+            estimators.p_at((empty,) * 3, (0.3, 0.3, 0.3), 0.3, point)
+    columns = triangle_columns(simulate_trees(BarParams(0.7, 0.5), 3, InitSpec.dirac(0.0), [1, 2, 3]), Population.GEN_N)
+    for hs in [(np.full(2, 0.3), 0.3, 0.3), (0.3, np.full((3, 1), 0.3), 0.3)]:
+        with pytest.raises(ValueError, match="^one bandwidth per tree of the stack$"):
+            estimators.mu_tri_at(columns, hs, point)
+    with pytest.raises(ValueError, match="^one bandwidth per tree of the stack$"):  # one tree, two bandwidths
+        estimators._kernel_sums((columns[0][0],), (np.full(2, 0.3),), (np.array([0.0]),))
 
 
 def _grids(population, block):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bmckde import estimators, harness, table
-from bmckde.bar import BarParams
+from bmckde.bar import BarParams, InitSpec, simulate
 from bmckde.cv import default_grid
+from bmckde.estimators import mu_tri_hat, p_hat
 from bmckde.harness import (
     CASE1,
     CASE2,
@@ -29,7 +31,8 @@ from bmckde.harness import (
     summarize_stats,
     write_figure_outputs,
 )
-from bmckde.tree import Population
+from bmckde.rng import derive_seed
+from bmckde.tree import Population, tree_size
 
 SYM = BarParams(0.5, 0.5, 0.0, 0.0, 1.0, 0.0)
 
@@ -113,9 +116,10 @@ class _InProcessPool:
 
 @pytest.mark.parametrize("cpus, threads, workers", [(2, 16, 2), (16, 4, 4), (16, 16, 12), (1, 4, None)])
 def test_clt_pool_is_capped_by_cpus_and_tasks(monkeypatch, cpus, threads, workers):
-    # 12 tasks; no pool at all when the cap leaves one worker, and every pool
-    # retunes its workers' allocator
+    # one tree per block, so 12 blocks; no pool at all when the cap leaves one
+    # worker, and every pool retunes its workers' allocator
     pools = []
+    monkeypatch.setattr(harness, "_BLOCK_VALUES", 1)
     monkeypatch.setattr(estimators, "_THREADS", cpus)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda **kw: _InProcessPool(pools, **kw))
     pooled = run_clt_p_hat(small_spec(n_list=(4, 5), replications=6, threads=threads))
@@ -166,11 +170,11 @@ from bmckde import harness
 from bmckde.bar import BarParams
 
 harness._keep_freed_arrays()
-spec = harness.ExperimentSpec(model=BarParams(0.5, 0.5), n_list=(14,), replications=11)
+spec = harness.ExperimentSpec(model=BarParams(0.5, 0.5), n_list=(14,), replications=1000)
 faults = []
-for rep in range(11):  # the first replication warms the heap up
+for reps in harness._blocks(14, spec.replications, spec.selector)[:11]:  # the first block warms the heap up
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    harness._clt_replication((spec, 14, rep, "p_hat", 0.0, 1.0))
+    harness._clt_block((spec, 14, reps, "p_hat", 0.0, 1.0))
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(*faults[1:])
 """
@@ -178,9 +182,9 @@ print(*faults[1:])
 
 @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
 def test_pool_worker_replications_reuse_their_pages():
-    # a fresh interpreter, as a pool worker starts: after one warm-up, a
-    # depth-14 stationary replication finds its arrays on the heap instead of
-    # faulting hundreds of fresh pages in
+    # a fresh interpreter, as a pool worker starts: after one warm-up, a block
+    # of depth-14 stationary replications finds its arrays on the heap instead
+    # of faulting hundreds of fresh pages in
     src = os.path.dirname(os.path.dirname(harness.__file__))
     done = subprocess.run(
         [sys.executable, "-c", _FAULTS], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
@@ -201,6 +205,92 @@ def test_depths_merge_in_n_list_order_at_any_worker_count():
     singles = [run_clt_p_hat(small_spec(n_list=(n,), replications=5)) for n in n_list]
     assert r1.rows == [row for s in singles for row in s.rows]
     assert r1.summaries == [s.summaries[0] for s in singles]
+
+
+_BLOCK_CASES = [
+    (FixedGamma(0.2), (1, 2, 6)),  # depths 1 and 2: samples shorter than numpy's 8-wide pairwise unroll
+    (RotSelector(), (2, 5)),
+    (CvSelector(K=3, grid_size=4), (5,)),
+]
+
+
+@pytest.mark.parametrize("population", list(Population))
+@pytest.mark.parametrize("statistic", ["p_hat", "mu_tri"])
+@pytest.mark.parametrize("selector, n_list", _BLOCK_CASES, ids=["fixed", "rot", "cv"])
+def test_block_rows_equal_one_tree_calls_bitwise(selector, n_list, statistic, population):
+    # every row of a block is the one-tree estimator on simulate(seed), with
+    # that tree's own bandwidths, standardized as one replication alone
+    spec = small_spec(n_list=n_list, replications=5, population=population, selector=selector, point=(0.1, -0.2, 0.3))
+    report = (run_clt_p_hat if statistic == "p_hat" else run_clt_mu_tri)(spec)
+    summaries = {s["n"]: s for s in report.summaries}
+    assert len(report.rows) == 5 * len(n_list)
+    for row in report.rows:
+        n, seed = row.n, row.seed
+        assert seed == derive_seed(spec.seed, row.replication + (n << 32))
+        sample = simulate(spec.model, n, InitSpec.stationary(), seed)
+        bw, h_den = harness._bandwidths_for(sample, selector, n, seed)
+        if statistic == "p_hat":
+            est = p_hat(sample, population, bw, h_den, *spec.point)
+        else:
+            est = mu_tri_hat(sample, population, bw, *spec.point)
+        size = (1 << n) if population is Population.GEN_N else tree_size(n)
+        truth, sigma2 = summaries[n]["truth"], summaries[n]["sigma2"]
+        z = math.sqrt(size * bw.h**3) * (est - truth) / math.sqrt(sigma2)
+        assert (row.h_num, row.h_den) == (bw.h, h_den)
+        assert np.float64(row.estimate).tobytes() == np.float64(est).tobytes()
+        assert np.float64(row.stat).tobytes() == np.float64(z).tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("block_trees", [1, 3, None])
+def test_rows_do_not_depend_on_block_size(monkeypatch, threads, block_trees):
+    # against one serial tree per block: blocks of one tree, of three trees at
+    # the deepest depth (more at the others, ragged last blocks), and one
+    # block per depth
+    n_list = (1, 2, 6)
+    monkeypatch.setattr(harness, "_BLOCK_VALUES", 1)
+    reference = run_clt_p_hat(small_spec(n_list=n_list, replications=7))
+    values = 1 << 62 if block_trees is None else block_trees * ((1 << (max(n_list) + 2)) - 1)
+    monkeypatch.setattr(harness, "_BLOCK_VALUES", values)
+    sizes = {len(reps) for n in n_list for reps in harness._blocks(n, 7, FixedGamma(0.2))}
+    assert (max(sizes) == 7) if block_trees is None else (block_trees in sizes)
+    blocked = run_clt_p_hat(small_spec(n_list=n_list, replications=7, threads=threads))
+    assert blocked.rows == reference.rows
+    assert blocked.summaries == reference.summaries
+
+
+@pytest.mark.parametrize(
+    "n, replications, lengths",
+    [(12, 40, [16, 16, 8]), (14, 9, [4, 4, 1]), (16, 2, [1, 1]), (3, 1000, [1000]), (0, 1, [1])],
+)
+@pytest.mark.parametrize("selector", [FixedGamma(0.2), RotSelector()], ids=["fixed", "rot"])
+def test_blocks_cover_the_replications_in_order(n, replications, lengths, selector):
+    # 2^18 tree values per block: 16 depth-12 trees (16383 values each), 4
+    # depth-14 ones, and one depth-16 tree (2^18 - 1 values)
+    blocks = harness._blocks(n, replications, selector)
+    assert [r for b in blocks for r in b] == list(range(replications))
+    assert [len(b) for b in blocks] == lengths
+
+
+@pytest.mark.parametrize("n, replications", [(12, 20), (3, 1000), (0, 1)])
+def test_cv_blocks_hold_one_tree(n, replications):
+    # a cross-validated tree's selection outweighs what a block saves, so
+    # the pool keeps one task per replication
+    blocks = harness._blocks(n, replications, CvSelector())
+    assert blocks == [range(r, r + 1) for r in range(replications)]
+
+
+def test_cv_run_pools_one_task_per_replication(monkeypatch):
+    # 20 depth-12-sized replications at threads 4: four workers, not the two
+    # that 16-tree blocks would leave busy
+    pools = []
+    monkeypatch.setattr(estimators, "_THREADS", 4)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda **kw: _InProcessPool(pools, **kw))
+    monkeypatch.setattr(harness, "_BLOCK_VALUES", 16 * ((1 << 6) - 1))
+    fixed = run_clt_p_hat(small_spec(n_list=(4,), replications=20, threads=4))
+    cv = run_clt_p_hat(small_spec(n_list=(4,), replications=20, threads=4, selector=CvSelector(K=3, grid_size=4)))
+    assert [workers for workers, _ in pools] == [2, 4]
+    assert len(fixed.rows) == len(cv.rows) == 20
 
 
 def test_rot_and_cv_selectors_run():
