@@ -8,6 +8,11 @@ Cov = rho, independent across nodes.  The stationary symmetric sub-case
 densities and is the reference model for bandwidth selection and the
 distributional checks; ``BarParams.sigma_a`` is the one place that decides
 it, so every function of that sub-case takes a ``BarParams``.
+
+Trees come from one batch simulator, ``simulate_trees``, which returns one
+heap-ordered tree per seed as the rows of one array; generation k of every
+tree is the column slice ``tree.level_slice(k)``, and ``simulate`` is its
+one-seed call.
 """
 
 from __future__ import annotations
@@ -83,16 +88,6 @@ def simulate(params: BarParams, n: int, init: InitSpec, seed: int) -> TreeSample
     rejects a tree with non-finite values (a model that overflows).
     """
     return TreeSample(simulate_trees(params, n, init, [seed])[0])
-
-
-def simulate_levels(params: BarParams, n: int, init: InitSpec, seeds) -> list[np.ndarray]:
-    """Levels 0..n+1 of one tree per seed: level k is an (R, 2^k) array.
-
-    The levels are views of the ``simulate_trees`` array, so row r of every
-    level is bitwise ``simulate(params, n, init, seeds[r])``.
-    """
-    trees = simulate_trees(params, n, init, seeds)
-    return [trees[:, level_slice(k)] for k in range(n + 2)]
 
 
 def simulate_trees(params: BarParams, n: int, init: InitSpec, seeds) -> np.ndarray:

@@ -2,14 +2,16 @@
 
 The sample is the set of mother-daughters triangles over a chosen index set
 (one generation, or the whole tree).  Everything is direct summation, no
-binning or FFT shortcuts, done by one primitive over a tensor grid of
-evaluation points.  It keeps the daughter axes' kernel rows whole and forms
+binning or FFT shortcuts, done by one primitive, ``kernel_sums``, over a
+stack of same-size samples, one tree per row with a bandwidth per tree or one
+for all, and a tensor grid of evaluation points; ``p_at`` is the one quotient
+of two of its sums.  It keeps the daughter axes' kernel rows whole and forms
 the products in two reused cache-sized buffers; every value is still one
-contiguous sum over the sample.  The scalar estimators are one-point grids,
-so grid evaluations agree bitwise with scalar calls by construction.  The
-primitive also takes a stack of same-size samples, one tree per row, with a
-bandwidth per tree (``mu_tri_at``, ``p_at``), and gives each tree the bits
-of its one-tree call; the CLT harness estimates a block of trees that way.
+contiguous sum over the sample.  The scalar estimators are one-tree,
+one-point calls of these two and ``evaluate_on_grid`` is a one-tree call, so
+grid evaluations agree bitwise with scalar calls, and each tree of a stack
+with its one-tree call, by construction; the CLT harness estimates a block
+of trees that way.
 A grid of more than one unit is computed by a pool of worker threads, one
 per CPU the process may use, each pinned to its own CPU, with its own
 buffers; the executor's queue gives the next unit to whichever thread is
@@ -94,25 +96,24 @@ def _worker_pool(units):
         pool.shutdown(cancel_futures=True)
 
 
-def _kernel_sums(columns, bandwidths, axes) -> np.ndarray:
+def kernel_sums(columns, bandwidths, axes) -> np.ndarray:
     """Normalized product-kernel sums at every point of the tensor grid of ``axes``.
 
-    ``columns`` are one tree's sample, each 1-D of length N, or a stack of R
-    same-size samples, each (R, N), one tree per row; a bandwidth is a number,
-    or one per tree of a stack.  ``axes`` is (x,) or (x, x0, x1), each 1-D
-    and finite.  Coordinate j of a grid point a contributes
-    K0((a_j - columns[j]) / bandwidths[j]) per sample member; the value is
-    the sum over the sample of the product of those factors, divided by N
-    times the bandwidths.  Values come flattened in C order (first axis
-    slowest), one row of them per tree of a stack.  The x0 and x1 kernel rows
-    are kept whole, the x rows computed in blocks.  The products ``k0 * k1``
-    of one x0 row with a chunk of x1 rows (the whole axis, for several x0
-    rows, when it fits) go into a reused buffer, and each x row is
-    multiplied into a second one and summed.  Every value is the contiguous
-    row sum of ``kx * (k0 * k1)``, every tree of a stack is computed as it
-    would be alone, so any grid agrees bitwise with one-point grids and any
-    stack with one-tree calls.  Buffers hold at most ``_BLOCK_ENTRIES``
-    entries, or one row per tree if that is more.
+    ``columns`` are a stack of R same-size samples, each (R, N), one tree per
+    row (one tree is a stack of one); a bandwidth is a number, or one per
+    tree.  ``axes`` is (x,) or (x, x0, x1), each 1-D, finite and nonempty.
+    Coordinate j of a grid point a contributes K0((a_j - columns[j]) /
+    bandwidths[j]) per sample member; the value is the sum over the sample
+    of the product of those factors, divided by N times the bandwidths.
+    Values come as (R, G), one row per tree, each flattened in C order
+    (first axis slowest).  The x0 and x1 kernel rows are kept whole, the x
+    rows computed in blocks.  The products ``k0 * k1`` of one x0 row with a
+    chunk of x1 rows (the whole axis, for several x0 rows, when it fits) go
+    into a reused buffer, and each x row is multiplied into a second one and
+    summed.  Every value is the contiguous row sum of ``kx * (k0 * k1)``,
+    every tree is computed as it would be alone, so any grid agrees bitwise
+    with one-point grids and any stack with one-tree calls.  Buffers hold at
+    most ``_BLOCK_ENTRIES`` entries, or one row per tree if that is more.
 
     The kernel-row blocks, then the (x block, x0 rows) product units, each
     looping over its x1 chunks, are mapped over the threads of one
@@ -124,25 +125,20 @@ def _kernel_sums(columns, bandwidths, axes) -> np.ndarray:
     estimate) and calls inside a ``multiprocessing`` worker run on the
     calling thread.
     """
-    stacked = columns[0].ndim == 2
-    columns = [col if stacked else col[None] for col in columns]
     trees, size = columns[0].shape
     hs = []
     for h in bandwidths:
-        if np.ndim(h):
-            h = np.asarray(h, dtype=float)
-            if h.shape != (trees,):
-                raise ValueError("one bandwidth per tree of the stack")
-            ok = ((h > 0) & (h < math.inf)).all()  # NaN fails both
-            h = h.reshape(-1, 1, 1)
-        else:
-            ok = h > 0 and math.isfinite(h)
-        if not ok:
+        h = np.asarray(h, dtype=float)
+        if h.shape not in ((), (trees,)):
+            raise ValueError("one bandwidth per tree of the stack")
+        if not ((h > 0) & (h < math.inf)).all():  # NaN fails both
             raise ValueError("bandwidth must be positive and finite")
-        hs.append(h)
+        hs.append(h.reshape(-1, 1, 1))
     for ax in axes:
         if ax.ndim != 1 or not np.all(np.isfinite(ax)):
             raise ValueError("grid axes must be 1-D and finite")
+        if ax.size == 0:
+            raise ValueError("empty grid")
     if size == 0:
         raise ValueError("empty index set")
     step = max(1, _BLOCK_ENTRIES // (trees * size))  # kernel rows per tree per buffer
@@ -199,19 +195,38 @@ def _kernel_sums(columns, bandwidths, axes) -> np.ndarray:
     norm = size
     for h in hs:
         norm = norm * h
-    values = (out / norm).reshape(trees, -1)
-    return values if stacked else values[0]
+    return (out / norm).reshape(trees, -1)
 
 
-def _quotient(num, den):
-    """num / den, and 0 where the denominator underflows (below DENOMINATOR_FLOOR)."""
-    return np.where(den < DENOMINATOR_FLOOR, 0.0, num / np.maximum(den, DENOMINATOR_FLOOR))
+def p_at(columns, bandwidths, h_den, axes) -> np.ndarray:
+    """The quotient estimate of the transition density over the grid of ``axes``.
+
+    ``columns``, ``bandwidths`` (h, h0, h1) and ``axes`` (x, x0, x1) are as
+    for ``kernel_sums``, and so are the (R, G) values; ``h_den`` is the
+    denominator's bandwidth, a number or one per tree.  The numerator is the
+    triangle-density sum, the denominator the x-only sum at each x of the
+    grid, and a value is 0 where the denominator underflows (below
+    ``DENOMINATOR_FLOOR``).
+    """
+    num = kernel_sums(columns, bandwidths, axes)
+    den = kernel_sums(columns[:1], (h_den,), axes[:1])[:, :, None]
+    by_x = num.reshape(den.shape[0], den.shape[1], -1)
+    return np.where(den < DENOMINATOR_FLOOR, 0.0, by_x / np.maximum(den, DENOMINATOR_FLOOR)).reshape(num.shape)
+
+
+def _one_tree(sample: TreeSample, population: Population):
+    """The triangle columns of ``sample`` as a stack of one tree."""
+    return tuple(col[None] for col in sample.triangle_arrays(population))
+
+
+def _one_point(*coords):
+    """One-point axes: a 1-element axis per coordinate."""
+    return tuple(np.array([v], dtype=float) for v in coords)
 
 
 def mu_hat(sample: TreeSample, population: Population, h: float, x: float) -> float:
     """Kernel estimate of the invariant density at x: (1/(N h)) sum K0((x - X_u)/h)."""
-    vals = sample.triangle_arrays(population)[0]
-    return float(_kernel_sums((vals,), (h,), (np.array([x], dtype=float),))[0])
+    return float(kernel_sums(_one_tree(sample, population)[:1], (h,), _one_point(x))[0, 0])
 
 
 def mu_tri_hat(
@@ -227,7 +242,7 @@ def mu_tri_hat(
     Triple-product kernel sum over the triangles of the index set, normalized
     by N * h * h0 * h1 so the estimate integrates to one.
     """
-    return float(mu_tri_at(sample.triangle_arrays(population), (bw.h, bw.h0, bw.h1), (x, x0, x1)))
+    return float(kernel_sums(_one_tree(sample, population), (bw.h, bw.h0, bw.h1), _one_point(x, x0, x1))[0, 0])
 
 
 def p_hat(
@@ -241,26 +256,8 @@ def p_hat(
 ) -> float:
     """Quotient estimate of the transition density, numerator and denominator
     smoothed with their own bandwidths; 0 when the denominator underflows."""
-    return float(p_at(sample.triangle_arrays(population), (bw_num.h, bw_num.h0, bw_num.h1), h_den, (x, x0, x1)))
-
-
-def mu_tri_at(columns, bandwidths, point) -> np.ndarray:
-    """``mu_tri_hat`` at ``point`` = (x, x0, x1) for each tree of ``columns``.
-
-    ``columns`` are the (parents, children0, children1) of one tree, 1-D, or
-    of a stack of trees, (R, N) as ``tree.triangle_columns`` gives them;
-    ``bandwidths`` is (h, h0, h1), each a number or one per tree.  Each
-    tree's value is the bits ``mu_tri_hat`` gives it alone.
-    """
-    axes = tuple(np.array([v], dtype=float) for v in point)
-    return _kernel_sums(columns, bandwidths, axes)[..., 0]
-
-
-def p_at(columns, bandwidths, h_den, point) -> np.ndarray:
-    """``p_hat`` at ``point`` for each tree of ``columns``, as ``mu_tri_at``;
-    ``h_den`` is a number or one per tree."""
-    den = _kernel_sums(columns[:1], (h_den,), (np.array([point[0]], dtype=float),))[..., 0]
-    return _quotient(mu_tri_at(columns, bandwidths, point), den)
+    bws = (bw_num.h, bw_num.h0, bw_num.h1)
+    return float(p_at(_one_tree(sample, population), bws, h_den, _one_point(x, x0, x1))[0, 0])
 
 
 @dataclass
@@ -318,25 +315,20 @@ def evaluate_on_grid(sample: TreeSample, spec: EstimatorSpec, grid) -> DensityEs
         "population": spec.population.value,
         "sample_depth": sample.depth,
     }
+    columns = _one_tree(sample, spec.population)
     if spec.kind == "mu":
         xs = np.atleast_1d(np.asarray(grid, dtype=float))
-        if xs.size == 0:
-            raise ValueError("empty grid")
-        vals = sample.triangle_arrays(spec.population)[0]
-        meta.update(h=spec.h, sample_size=int(vals.size))
-        return DensityEstimate(xs, _kernel_sums((vals,), (spec.h,), (xs,)), meta)
+        meta.update(h=spec.h, sample_size=int(columns[0].size))
+        return DensityEstimate(xs, kernel_sums(columns[:1], (spec.h,), (xs,))[0], meta)
 
     if not (isinstance(grid, tuple) and len(grid) == 3):
         raise ValueError("3-d grid must be a tuple of three axes")
     axes = tuple(np.atleast_1d(np.asarray(g, dtype=float)) for g in grid)
-    if any(ax.size == 0 for ax in axes):
-        raise ValueError("empty grid")
-    bw = spec.bw
-    columns = sample.triangle_arrays(spec.population)
-    meta.update(bw=[bw.h, bw.h0, bw.h1], sample_size=int(columns[0].size))
-    values = _kernel_sums(columns, (bw.h, bw.h0, bw.h1), axes)
+    bws = (spec.bw.h, spec.bw.h0, spec.bw.h1)
+    meta.update(bw=list(bws), sample_size=int(columns[0].size))
     if spec.kind == "p":
         meta.update(h_den=spec.h)
-        den = _kernel_sums((columns[0],), (spec.h,), axes[:1])[:, None]
-        values = _quotient(values.reshape(den.size, -1), den).ravel()
+        values = p_at(columns, bws, spec.h, axes)[0]
+    else:
+        values = kernel_sums(columns, bws, axes)[0]
     return DensityEstimate(product_points(*axes), values, meta)

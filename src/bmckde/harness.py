@@ -26,12 +26,12 @@ import numpy as np
 
 from .bar import BarParams, InitSpec, mu_triangle, simulate, simulate_trees, transition_density_p
 from .cv import DEFAULT_GRID_SIZE, cv_select, default_grid
-from .estimators import EstimatorSpec, evaluate_on_grid, mu_tri_at, p_at
+from .estimators import EstimatorSpec, evaluate_on_grid, kernel_sums, p_at
 from .kernels import BandwidthTriple
 from .rng import derive_seed
 from .rot import DEFAULT_LAG, rot_select
 from .table import write_csv, write_text
-from .tree import Population, TreeSample, tree_size, triangle_columns
+from .tree import Population, TreeSample, triangle_columns
 from . import estimators, oracle
 
 # tree values per CLT block: a pool task simulates and estimates the
@@ -190,8 +190,10 @@ def _clt_block(args) -> list[tuple]:
 
     The trees are the rows of one ``simulate_trees`` array, each bitwise its
     seed's ``simulate``; each is checked as a ``TreeSample`` and gets its own
-    bandwidths.  One ``mu_tri_at`` or ``p_at`` call estimates every tree at
-    once, each to the bits of its one-tree ``mu_tri_hat`` or ``p_hat``.
+    bandwidths.  One ``kernel_sums`` or ``p_at`` call at the one-point grid
+    of ``spec.point`` estimates every tree at once, each to the bits of its
+    one-tree ``mu_tri_hat`` or ``p_hat``; N, the statistic's sample size, is
+    the length of the trees' columns.
     """
     spec, n, reps, statistic, truth, sigma2 = args
     seeds = [derive_seed(spec.seed, rep + (n << 32)) for rep in reps]
@@ -199,13 +201,14 @@ def _clt_block(args) -> list[tuple]:
     chosen = [_bandwidths_for(TreeSample(tree), spec.selector, n, seed) for tree, seed in zip(trees, seeds)]
     columns = triangle_columns(trees, spec.population)
     bws = tuple(np.array([(bw.h, bw.h0, bw.h1) for bw, _ in chosen]).T)
+    point = tuple(np.array([v], dtype=float) for v in spec.point)
     if statistic == "p_hat":
-        est = p_at(columns, bws, np.array([h_den for _, h_den in chosen]), spec.point)
+        est = p_at(columns, bws, np.array([h_den for _, h_den in chosen]), point)
     else:
-        est = mu_tri_at(columns, bws, spec.point)
-    size = (1 << n) if spec.population is Population.GEN_N else tree_size(n)
+        est = kernel_sums(columns, bws, point)
+    size = columns[0].shape[-1]
     rows = []
-    for rep, seed, (bw, hd), e in zip(reps, seeds, chosen, est.tolist()):
+    for rep, seed, (bw, hd), e in zip(reps, seeds, chosen, est[:, 0].tolist()):
         z = math.sqrt(size * bw.h**3) * (e - truth) / math.sqrt(sigma2)
         rows.append((rep, seed, n, bw.h, hd, e, z))
     return rows

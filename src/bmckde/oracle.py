@@ -18,9 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bar import BarParams, InitSpec, mu_triangle, simulate_levels, stationary_mu, transition_density_p
+from .bar import BarParams, InitSpec, mu_triangle, simulate_trees, stationary_mu, transition_density_p
 from .kernels import L2_NORM_SQ_CUBED, SQRT_PI
 from .rng import derive_seed
+from .tree import level_slice
 
 # scipy is imported inside the functions that call it: scipy.special's ndtr
 # in apply_q (and harness.summarize_stats), scipy.interpolate's CubicSpline
@@ -291,15 +292,16 @@ def moment_check_table(
     f_bump = grid_function(grid, gaussian_bump())
 
     seeds = [derive_seed(seed, r) for r in range(replications)]
-    levels = simulate_levels(params, max(n - 1, 0), InitSpec.dirac(x), seeds)
+    trees = simulate_trees(params, max(n - 1, 0), InitSpec.dirac(x), seeds)
+    gen_n, gen_m = trees[:, level_slice(n)], trees[:, level_slice(m)]
     bump = gaussian_bump()
     arr = {
-        "id_n": np.sum(levels[n], axis=1),
-        "bump_n": np.sum(bump(levels[n]), axis=1),
-        "id_m": np.sum(levels[m], axis=1),
-        "bump_m": np.sum(bump(levels[m]), axis=1),
+        "id_n": np.sum(gen_n, axis=1),
+        "bump_n": np.sum(bump(gen_n), axis=1),
+        "id_m": np.sum(gen_m, axis=1),
+        "bump_m": np.sum(bump(gen_m), axis=1),
     }
-    del levels  # the trees are not needed during quadrature, which peaks in memory
+    del trees, gen_n, gen_m  # the trees are not needed during quadrature, which peaks in memory
 
     def row(name: str, samples: np.ndarray, target: float) -> MomentCheckRow:
         mean = float(np.mean(samples))

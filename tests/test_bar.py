@@ -11,12 +11,12 @@ from bmckde.bar import (
     mu_triangle,
     q_density,
     simulate,
-    simulate_levels,
+    simulate_trees,
     stationary_mu,
     transition_density_p,
 )
 from bmckde.rng import derive_seed, philox_stream
-from bmckde.tree import TreeSample
+from bmckde.tree import TreeSample, level_slice
 
 CASE1 = BarParams(0.7, 0.5, 0.0, 0.0, 1.0, 0.0)
 CASE2 = BarParams(1.2, 0.7, 0.0, 0.0, 1.0, 0.0)
@@ -169,8 +169,9 @@ def test_simulate_levels_equal_per_stream_reference_bitwise(params, init, seed):
 )
 def test_simulate_levels_rows_equal_per_seed_simulate_bitwise(params, init, seeds):
     for n in (0, 1, 5):
-        levels = simulate_levels(params, n, init, seeds)
-        assert len(levels) == n + 2
+        stack = simulate_trees(params, n, init, seeds)
+        assert stack.shape == (len(seeds), (1 << (n + 2)) - 1)
+        levels = [stack[:, level_slice(k)] for k in range(n + 2)]
         trees = [simulate(params, n, init, s) for s in seeds]
         for k, lv in enumerate(levels):
             assert lv.shape == (len(seeds), 1 << k)
@@ -180,7 +181,7 @@ def test_simulate_levels_rows_equal_per_seed_simulate_bitwise(params, init, seed
 
 def test_simulate_levels_rejects_no_seeds():
     with pytest.raises(ValueError, match="at least one seed"):
-        simulate_levels(CASE1, 3, InitSpec.dirac(0.0), [])
+        simulate_trees(CASE1, 3, InitSpec.dirac(0.0), [])
 
 
 def test_simulate_levels_validates_before_drawing(monkeypatch):
@@ -192,11 +193,11 @@ def test_simulate_levels_validates_before_drawing(monkeypatch):
     monkeypatch.setattr(bmckde.bar, "philox_stream", no_draws)
     monkeypatch.setattr(bmckde.bar, "rekey", no_draws)
     with pytest.raises(ValueError, match="depth must be >= 0"):
-        simulate_levels(CASE1, -1, InitSpec.dirac(0.0), [1, 2])
+        simulate_trees(CASE1, -1, InitSpec.dirac(0.0), [1, 2])
     with pytest.raises(OverflowError):
-        simulate_levels(CASE1, 63, InitSpec.dirac(0.0), [1, 2])
+        simulate_trees(CASE1, 63, InitSpec.dirac(0.0), [1, 2])
     with pytest.raises(ValueError, match="symmetric sub-case"):
-        simulate_levels(CASE1, 2, InitSpec.stationary(), [1, 2])
+        simulate_trees(CASE1, 2, InitSpec.stationary(), [1, 2])
 
 
 @pytest.mark.parametrize("init", [InitSpec.dirac(0.0), InitSpec.stationary()])
@@ -205,7 +206,7 @@ def test_float_seed_raises_type_error(init):
     with pytest.raises(TypeError):
         simulate(params, 2, init, 2.0)
     with pytest.raises(TypeError):
-        simulate_levels(params, 2, init, [1, 2.0])
+        simulate_trees(params, 2, init, [1, 2.0])
 
 
 def test_correlated_noise_covariance():

@@ -276,9 +276,27 @@ def test_density_estimate_csv(tmp_path):
 
 
 def test_empty_grid_rejected():
+    # an empty axis is refused alike by grid calls and by the one-point
+    # calls under the scalar estimators
     s = simulate(BarParams(0.7, 0.5), 2, InitSpec.dirac(0.0), 1)
-    with pytest.raises(ValueError):
-        evaluate_on_grid(s, EstimatorSpec(kind="mu", population=Population.GEN_N, h=0.3), np.array([]))
+    bw = BandwidthTriple.scalar(0.3)
+    empty, ax = np.array([]), np.array([0.0, 0.5])
+    columns = tuple(col[None] for col in s.triangle_arrays(Population.GEN_N))
+    with pytest.raises(ValueError, match="^empty grid$"):
+        evaluate_on_grid(s, EstimatorSpec(kind="mu", population=Population.GEN_N, h=0.3), empty)
+    with pytest.raises(ValueError, match="^empty grid$"):
+        estimators.kernel_sums(columns[:1], (0.3,), (empty,))
+    for axis in range(3):
+        axes, point = [ax] * 3, [np.array([0.0])] * 3
+        axes[axis] = point[axis] = empty
+        with pytest.raises(ValueError, match="^empty grid$"):
+            evaluate_on_grid(s, EstimatorSpec(kind="mu_tri", bw=bw), tuple(axes))
+        with pytest.raises(ValueError, match="^empty grid$"):
+            evaluate_on_grid(s, EstimatorSpec(kind="p", h=0.3, bw=bw), tuple(axes))
+        with pytest.raises(ValueError, match="^empty grid$"):
+            estimators.kernel_sums(columns, (0.3, 0.3, 0.3), tuple(point))
+        with pytest.raises(ValueError, match="^empty grid$"):
+            estimators.p_at(columns, (0.3, 0.3, 0.3), 0.3, tuple(point))
 
 
 def test_point_list_grid_rejected():
@@ -429,51 +447,61 @@ def test_stacked_values_equal_per_tree_calls_bitwise(depth, seeds, population, r
     stack = simulate_trees(BarParams(0.7, 0.5), depth, InitSpec.dirac(0.0), seeds)
     columns = triangle_columns(stack, population)
     axes = tuple(np.array(a) for a in axes)
-    point = tuple(float(a[0]) for a in axes)
+    at = tuple(a[:1] for a in axes)  # the first point of the grid
     with mock.patch.object(estimators, "_BLOCK_ENTRIES", block):
-        tri = estimators._kernel_sums(columns, hs[1:], axes)
-        mu = estimators._kernel_sums(columns[:1], hs[:1], axes[:1])
-        tri_at = estimators.mu_tri_at(columns, hs[1:], point)
-        p_values = estimators.p_at(columns, hs[1:], hs[0], point)
-        assert tri.shape == (trees, math.prod(a.size for a in axes)) and mu.shape == (trees, axes[0].size)
+        tri = estimators.kernel_sums(columns, hs[1:], axes)
+        mu = estimators.kernel_sums(columns[:1], hs[:1], axes[:1])
+        p_values = estimators.p_at(columns, hs[1:], hs[0], axes)
+        tri_at = estimators.kernel_sums(columns, hs[1:], at)
+        p_values_at = estimators.p_at(columns, hs[1:], hs[0], at)
+        size = math.prod(a.size for a in axes)
+        assert tri.shape == p_values.shape == (trees, size) and mu.shape == (trees, axes[0].size)
+        assert tri_at.shape == p_values_at.shape == (trees, 1)
         for r in range(trees):
             sample = TreeSample(stack[r])
             one = [h if shared[j] else float(h[r]) for j, h in enumerate(hs)]
-            alone = sample.triangle_arrays(population)
-            assert tri[r].tobytes() == estimators._kernel_sums(alone, one[1:], axes).tobytes()
-            assert mu[r].tobytes() == estimators._kernel_sums(alone[:1], one[:1], axes[:1]).tobytes()
             bw = BandwidthTriple(*one[1:])
-            assert bits(tri_at[r]) == bits(mu_tri_hat(sample, population, bw, *point))
-            assert bits(p_values[r]) == bits(p_hat(sample, population, bw, one[0], *point))
+            alone = {
+                kind: evaluate_on_grid(sample, EstimatorSpec(kind, population, h=one[0], bw=bw), grid).values
+                for kind, grid in (("mu", axes[0]), ("mu_tri", axes), ("p", axes))
+            }
+            assert mu[r].tobytes() == alone["mu"].tobytes()
+            assert tri[r].tobytes() == alone["mu_tri"].tobytes()
+            assert p_values[r].tobytes() == alone["p"].tobytes()
+            point = tuple(float(a[0]) for a in at)
+            assert bits(tri_at[r, 0]) == bits(mu_tri_hat(sample, population, bw, *point))
+            assert bits(p_values_at[r, 0]) == bits(p_hat(sample, population, bw, one[0], *point))
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_stacked_call_rejects_a_bad_bandwidth_in_any_one_tree(bad):
     columns = triangle_columns(simulate_trees(BarParams(0.7, 0.5), 3, InitSpec.dirac(0.0), [1, 2, 3]), Population.GEN_N)
-    point = (0.0, 0.0, 0.0)
+    point = (np.array([0.0]),) * 3
     for j in range(3):
         for r in range(3):
             hs = np.full((3, 3), 0.3)
             hs[j, r] = bad
             with pytest.raises(ValueError, match="^bandwidth must be positive and finite$"):
-                estimators.mu_tri_at(columns, tuple(hs), point)
+                estimators.kernel_sums(columns, tuple(hs), point)
             with pytest.raises(ValueError, match="^bandwidth must be positive and finite$"):
                 estimators.p_at(columns, (0.3, 0.3, 0.3), hs[j], point)
 
 
 def test_stacked_call_rejects_an_empty_index_set_and_a_bandwidth_per_missing_tree():
-    point = (0.0, 0.0, 0.0)
-    for empty in (np.empty(0), np.empty((3, 0))):
+    point = (np.array([0.0]),) * 3
+    for empty in (np.empty((1, 0)), np.empty((3, 0))):
         with pytest.raises(ValueError, match="empty index set"):
-            estimators.mu_tri_at((empty,) * 3, (0.3, 0.3, 0.3), point)
+            estimators.kernel_sums((empty,) * 3, (0.3, 0.3, 0.3), point)
         with pytest.raises(ValueError, match="empty index set"):
             estimators.p_at((empty,) * 3, (0.3, 0.3, 0.3), 0.3, point)
     columns = triangle_columns(simulate_trees(BarParams(0.7, 0.5), 3, InitSpec.dirac(0.0), [1, 2, 3]), Population.GEN_N)
     for hs in [(np.full(2, 0.3), 0.3, 0.3), (0.3, np.full((3, 1), 0.3), 0.3)]:
         with pytest.raises(ValueError, match="^one bandwidth per tree of the stack$"):
-            estimators.mu_tri_at(columns, hs, point)
+            estimators.kernel_sums(columns, hs, point)
+    with pytest.raises(ValueError, match="^one bandwidth per tree of the stack$"):
+        estimators.p_at(columns, (0.3, 0.3, 0.3), np.full(2, 0.3), point)
     with pytest.raises(ValueError, match="^one bandwidth per tree of the stack$"):  # one tree, two bandwidths
-        estimators._kernel_sums((columns[0][0],), (np.full(2, 0.3),), (np.array([0.0]),))
+        estimators.kernel_sums((columns[0][:1],), (np.full(2, 0.3),), point[:1])
 
 
 def _grids(population, block):

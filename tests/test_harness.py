@@ -184,11 +184,12 @@ print(*faults[1:])
 def test_pool_worker_replications_reuse_their_pages():
     # a fresh interpreter, as a pool worker starts: after one warm-up, a block
     # of depth-14 stationary replications finds its arrays on the heap instead
-    # of faulting hundreds of fresh pages in
+    # of faulting hundreds of fresh pages in.  Python's small objects go to
+    # the C heap too (PYTHONMALLOC=malloc): pymalloc's arenas are not glibc's
+    # to keep, and the pages they fault in move with the environment's size
     src = os.path.dirname(os.path.dirname(harness.__file__))
-    done = subprocess.run(
-        [sys.executable, "-c", _FAULTS], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
-    )
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONMALLOC": "malloc"}
+    done = subprocess.run([sys.executable, "-c", _FAULTS], env=env, capture_output=True, text=True, check=True)
     faults = [int(f) for f in done.stdout.split()]
     assert len(faults) == 10 and max(faults) < 16, faults
 

@@ -249,26 +249,28 @@ def test_moment_check_table_equals_per_tree_sums_bitwise(params, n, m):
     assert got == per_tree_rows(params, 0.5, n, m, 300, 11)
 
 
-@pytest.mark.parametrize("n,m", [(2, 4), (6, 1), (3, -1)])
-def test_moment_check_table_rejects_levels_before_simulating(monkeypatch, n, m):
-    import bmckde.bar
+def _no_simulation(monkeypatch, message):
+    # stub the name oracle calls, and check that valid arguments do reach it
+    import bmckde.oracle
 
     def no_simulation(*args):
-        raise AssertionError("simulated before checking the levels")
+        raise AssertionError(message)
 
-    monkeypatch.setattr(bmckde.bar, "simulate_levels", no_simulation)
+    monkeypatch.setattr(bmckde.oracle, "simulate_trees", no_simulation)
+    with pytest.raises(AssertionError, match=message):
+        moment_check_table(SYM, x=0.5, n=2, m=1, replications=10, seed=0)
+
+
+@pytest.mark.parametrize("n,m", [(2, 4), (6, 1), (3, -1)])
+def test_moment_check_table_rejects_levels_before_simulating(monkeypatch, n, m):
+    _no_simulation(monkeypatch, "simulated before checking the levels")
     with pytest.raises(ValueError, match="0 <= m <= n <= 5"):
         moment_check_table(SYM, x=0.5, n=n, m=m, replications=10, seed=0)
 
 
 @pytest.mark.parametrize("replications", [1, 0, -3])
 def test_moment_check_table_rejects_too_few_replications(monkeypatch, replications):
-    import bmckde.bar
-
-    def no_simulation(*args):
-        raise AssertionError("simulated before checking the replication count")
-
-    monkeypatch.setattr(bmckde.bar, "simulate_levels", no_simulation)
+    _no_simulation(monkeypatch, "simulated before checking the replication count")
     with pytest.raises(ValueError, match="at least 2 replications"):
         moment_check_table(SYM, x=0.5, n=3, m=2, replications=replications, seed=0)
 
