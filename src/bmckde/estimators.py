@@ -100,8 +100,9 @@ def kernel_sums(columns, bandwidths, axes) -> np.ndarray:
     """Normalized product-kernel sums at every point of the tensor grid of ``axes``.
 
     ``columns`` are a stack of R same-size samples, each (R, N), one tree per
-    row (one tree is a stack of one); a bandwidth is a number, or one per
-    tree.  ``axes`` is (x,) or (x, x0, x1), each 1-D, finite and nonempty.
+    row (one tree is a stack of one).  ``bandwidths`` is (h,) or a triple, each
+    a number or one per tree, checked here alone.  ``axes`` is (x,) or
+    (x, x0, x1), each 1-D, finite and nonempty.
     Coordinate j of a grid point a contributes K0((a_j - columns[j]) /
     bandwidths[j]) per sample member; the value is the sum over the sample
     of the product of those factors, divided by N times the bandwidths.
@@ -242,7 +243,7 @@ def mu_tri_hat(
     Triple-product kernel sum over the triangles of the index set, normalized
     by N * h * h0 * h1 so the estimate integrates to one.
     """
-    return float(kernel_sums(_one_tree(sample, population), (bw.h, bw.h0, bw.h1), _one_point(x, x0, x1))[0, 0])
+    return float(kernel_sums(_one_tree(sample, population), bw, _one_point(x, x0, x1))[0, 0])
 
 
 def p_hat(
@@ -256,8 +257,7 @@ def p_hat(
 ) -> float:
     """Quotient estimate of the transition density, numerator and denominator
     smoothed with their own bandwidths; 0 when the denominator underflows."""
-    bws = (bw_num.h, bw_num.h0, bw_num.h1)
-    return float(p_at(_one_tree(sample, population), bws, h_den, _one_point(x, x0, x1))[0, 0])
+    return float(p_at(_one_tree(sample, population), bw_num, h_den, _one_point(x, x0, x1))[0, 0])
 
 
 @dataclass
@@ -324,11 +324,10 @@ def evaluate_on_grid(sample: TreeSample, spec: EstimatorSpec, grid) -> DensityEs
     if not (isinstance(grid, tuple) and len(grid) == 3):
         raise ValueError("3-d grid must be a tuple of three axes")
     axes = tuple(np.atleast_1d(np.asarray(g, dtype=float)) for g in grid)
-    bws = (spec.bw.h, spec.bw.h0, spec.bw.h1)
-    meta.update(bw=list(bws), sample_size=int(columns[0].size))
+    meta.update(bw=list(spec.bw), sample_size=int(columns[0].size))
     if spec.kind == "p":
         meta.update(h_den=spec.h)
-        values = p_at(columns, bws, spec.h, axes)[0]
+        values = p_at(columns, spec.bw, spec.h, axes)[0]
     else:
-        values = kernel_sums(columns, bws, axes)[0]
+        values = kernel_sums(columns, spec.bw, axes)[0]
     return DensityEstimate(product_points(*axes), values, meta)

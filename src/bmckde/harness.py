@@ -7,11 +7,11 @@ tree under cross-validation): one simulation pass builds the block's trees,
 each gets its own bandwidths, and one estimator call computes every tree's
 statistic, each to the bits of its one-tree call.  Block boundaries depend
 only on the depth, the replication count and the selector kind, so reports
-are bit-identical across runs, block sizes and worker-pool sizes; merging is
-by replication index.  The pool workers keep freed block arrays on glibc's
-heap instead of handing them back to the OS; the calling process's allocator
-is never changed, other C libraries skip the setting, and results stay
-byte-identical at any pool size.
+are bit-identical across runs, block sizes and worker-pool sizes; a block
+returns its rows, grouped by depth.  The pool workers keep freed block arrays
+on glibc's heap instead of handing them back to the OS; the calling process's
+allocator is never changed, other C libraries skip the setting, and results
+stay byte-identical at any pool size.
 """
 
 from __future__ import annotations
@@ -159,13 +159,13 @@ def summarize_stats(zs: np.ndarray) -> dict:
     }
 
 
-def _bandwidths_for(sample, selector: Selector, n: int, cv_seed: int) -> tuple[BandwidthTriple, float]:
+def _bandwidths_for(sample, selector: Selector, cv_seed: int) -> tuple[BandwidthTriple, float]:
     """(numerator triple, denominator bandwidth) for one simulated sample."""
     if isinstance(selector, FixedGamma):
-        h = 2.0 ** (-n * selector.gamma)
+        h = 2.0 ** (-sample.depth * selector.gamma)
         return BandwidthTriple.scalar(h), h
     if isinstance(selector, CvSelector):
-        res = cv_select(sample, K=selector.K, grid=selector.candidates(n), seed=cv_seed)
+        res = cv_select(sample, K=selector.K, grid=selector.candidates(sample.depth), seed=cv_seed)
         return BandwidthTriple.scalar(res.h_n_hat), res.h_d_hat
     sel = rot_select(sample, selector.m)
     return BandwidthTriple(sel.h_n_hat, sel.h_0n_hat, sel.h_1n_hat), sel.h_d_hat
@@ -185,8 +185,8 @@ def _blocks(n: int, replications: int, selector: Selector) -> list[range]:
     return [range(b, min(b + per_block, replications)) for b in range(0, replications, per_block)]
 
 
-def _clt_block(args) -> list[tuple]:
-    """Rows of the replications ``reps`` at depth n, from one simulation pass.
+def _clt_block(args) -> list[ReplicationRow]:
+    """The rows of the replications ``reps`` at depth n, in order, from one simulation pass.
 
     The trees are the rows of one ``simulate_trees`` array, each bitwise its
     seed's ``simulate``; each is checked as a ``TreeSample`` and gets its own
@@ -198,20 +198,19 @@ def _clt_block(args) -> list[tuple]:
     spec, n, reps, statistic, truth, sigma2 = args
     seeds = [derive_seed(spec.seed, rep + (n << 32)) for rep in reps]
     trees = simulate_trees(spec.model, n, InitSpec.stationary(), seeds)
-    chosen = [_bandwidths_for(TreeSample(tree), spec.selector, n, seed) for tree, seed in zip(trees, seeds)]
+    chosen = [_bandwidths_for(TreeSample(tree), spec.selector, seed) for tree, seed in zip(trees, seeds)]
     columns = triangle_columns(trees, spec.population)
-    bws = tuple(np.array([(bw.h, bw.h0, bw.h1) for bw, _ in chosen]).T)
+    bws = tuple(np.array([bw for bw, _ in chosen]).T)
     point = tuple(np.array([v], dtype=float) for v in spec.point)
     if statistic == "p_hat":
         est = p_at(columns, bws, np.array([h_den for _, h_den in chosen]), point)
     else:
         est = kernel_sums(columns, bws, point)
     size = columns[0].shape[-1]
-    rows = []
-    for rep, seed, (bw, hd), e in zip(reps, seeds, chosen, est[:, 0].tolist()):
-        z = math.sqrt(size * bw.h**3) * (e - truth) / math.sqrt(sigma2)
-        rows.append((rep, seed, n, bw.h, hd, e, z))
-    return rows
+    return [
+        ReplicationRow(rep, seed, n, bw.h, h_den, e, math.sqrt(size * bw.h**3) * (e - truth) / math.sqrt(sigma2))
+        for rep, seed, (bw, h_den), e in zip(reps, seeds, chosen, est[:, 0].tolist())
+    ]
 
 
 def _keep_freed_arrays() -> None:
@@ -233,17 +232,19 @@ def _keep_freed_arrays() -> None:
 
 
 def _run_clt(spec: ExperimentSpec, statistic: str) -> ExperimentReport:
+    """Rows and a summary per entry of ``spec.n_list``.  Each distinct depth runs
+    once, deepest first so that a pool's last chunks are its cheapest, and a
+    depth listed twice reports the same rows and summary twice."""
     x, x0, x1 = spec.point
-    # true_variance_clt raises outside the stationary symmetric sub-case,
-    # before any replication runs
+    # true_variance_clt raises outside the stationary symmetric sub-case, or
+    # where the variance is not positive and finite, before any replication runs
     sigma2 = oracle.true_variance_clt(spec.model, x, x0, x1, statistic)
     truth = float((transition_density_p if statistic == "p_hat" else mu_triangle)(spec.model, x, x0, x1))
-    # deepest depths first, so a pool's last chunks are its cheapest
-    order = sorted(range(len(spec.n_list)), key=lambda i: spec.n_list[i], reverse=True)
+    depths = sorted(set(spec.n_list), reverse=True)
     tasks = [
-        (spec, spec.n_list[i], reps, statistic, truth, sigma2)
-        for i in order
-        for reps in _blocks(spec.n_list[i], spec.replications, spec.selector)
+        (spec, n, reps, statistic, truth, sigma2)
+        for n in depths
+        for reps in _blocks(n, spec.replications, spec.selector)
     ]
     # outputs are the same at any pool size, so more workers than blocks or
     # than CPUs the process may use would only cost start-up; only the
@@ -254,14 +255,12 @@ def _run_clt(spec: ExperimentSpec, statistic: str) -> ExperimentReport:
             blocks = list(pool.map(_clt_block, tasks, chunksize=4))
     else:
         blocks = [_clt_block(t) for t in tasks]
-    results = [row for block in blocks for row in block]
-    by_depth = {i: results[j * spec.replications : (j + 1) * spec.replications] for j, i in enumerate(order)}
+    rows = [row for block in blocks for row in block]  # in task order, as map returns them
+    by_depth = {n: [row for row in rows if row.n == n] for n in depths}
     report = ExperimentReport(rows=[])
-    for i, n in enumerate(spec.n_list):
-        depth_rows = by_depth[i]  # in replication order, as map returns them
-        for rep, seed, n_, h_num, h_den, est, z in depth_rows:
-            report.rows.append(ReplicationRow(rep, seed, n_, h_num, h_den, est, z))
-        summary = summarize_stats(np.array([r[6] for r in depth_rows]))
+    for n in spec.n_list:
+        report.rows += by_depth[n]
+        summary = summarize_stats(np.array([r.stat for r in by_depth[n]]))
         summary.update(n=n, statistic=statistic, sigma2=sigma2, truth=truth)
         report.summaries.append(summary)
     return report
@@ -302,7 +301,7 @@ class FigureRun:
     n: int
     seed_index: int
     seed: int
-    h_num: tuple[float, float, float]
+    h_num: BandwidthTriple
     h_den: float
     sup_error: float
     points: np.ndarray
@@ -342,7 +341,7 @@ def run_figure_reproduction(
         for s in range(n_seeds):
             rep_seed = derive_seed(seed, s + (n << 32))
             sample = simulate(params, n, InitSpec.dirac(0.0), rep_seed)
-            bw, h_den = _bandwidths_for(sample, selector, n, rep_seed)
+            bw, h_den = _bandwidths_for(sample, selector, rep_seed)
             est = evaluate_on_grid(
                 sample,
                 EstimatorSpec(kind="p", population=Population.GEN_N, h=h_den, bw=bw),
@@ -356,7 +355,7 @@ def run_figure_reproduction(
                     n=n,
                     seed_index=s,
                     seed=rep_seed,
-                    h_num=(bw.h, bw.h0, bw.h1),
+                    h_num=bw,
                     h_den=h_den,
                     sup_error=float(np.max(np.abs(est.values - truth))),
                     points=est.points,

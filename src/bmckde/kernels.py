@@ -1,16 +1,18 @@
-"""Gaussian smoothing kernel, its constants, and bandwidth containers.
+"""Gaussian smoothing kernel, its constants, and the bandwidth triple.
 
 Every estimator and both bandwidth selectors use the Gaussian kernel, and
 the CV sweep and the rule-of-thumb constants are written for it, so it is a
 function and module constants rather than a type.  Strict positivity of the
 Gaussian guarantees the density estimators never vanish, which keeps the
-quotient estimator well defined away from underflow.
+quotient estimator well defined away from underflow.  A bandwidth triple is
+the ``(h, h0, h1)`` tuple ``estimators.kernel_sums`` takes; that call is the
+one place its members are checked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,19 +33,12 @@ def gaussian(t):
     return np.exp(-0.5 * np.square(t)) / SQRT_2PI
 
 
-@dataclass(frozen=True)
-class BandwidthTriple:
+class BandwidthTriple(NamedTuple):
     """Per-coordinate bandwidths (parent, child0, child1) for the numerator estimator."""
 
     h: float
     h0: float
     h1: float
-
-    def __post_init__(self) -> None:
-        for name in ("h", "h0", "h1"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"bandwidth {name} must be positive and finite")
 
     @classmethod
     def scalar(cls, h: float) -> "BandwidthTriple":

@@ -66,11 +66,12 @@ def default_grid(params: BarParams) -> np.ndarray:
     Wide enough for one-step kernels from every grid node to keep their tail
     mass below TAIL_TOLERANCE whenever the model contracts; with an unstable
     branch (max |a| >= 1) edge nodes necessarily leak and results carry the
-    tail warning.
+    tail warning.  A critical model, m2 = (a0^2 + a1^2) / 2 = 1, takes the
+    unstable branch's spread 4 sigma without its 1 / sqrt|1 - m2| factor.
     """
     a_max = max(abs(params.a0), abs(params.a1))
     m2 = 0.5 * (params.a0**2 + params.a1**2)
-    sd = params.sigma / math.sqrt(1.0 - m2) if m2 < 1 else 4.0 * params.sigma / abs(1 - m2) ** 0.5
+    sd = params.sigma / math.sqrt(1.0 - m2) if m2 < 1 else 4.0 * params.sigma / (abs(1 - m2) ** 0.5 or 1.0)
     a_bar = 0.5 * (params.a0 + params.a1)
     center = 0.5 * (params.b0 + params.b1) / (1.0 - a_bar) if abs(a_bar) < 1 else 0.0
     half_width = max(10.0 * sd, 7.0 * params.sigma / (1.0 - a_max) if a_max < 1 else 12.0 * sd)
@@ -110,7 +111,7 @@ def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def apply_q(params: BarParams, f: GridFunction, gh_nodes: int = GH_NODES) -> GridFunction:
+def apply_q(params: BarParams, f: GridFunction) -> GridFunction:
     """One step of the child-average operator: x -> E[f(child) | parent = x].
 
     Gauss-Hermite quadrature of each Gaussian mixture component.  If either
@@ -120,7 +121,7 @@ def apply_q(params: BarParams, f: GridFunction, gh_nodes: int = GH_NODES) -> Gri
     """
     from scipy.special import ndtr
 
-    t, w = _hermgauss(gh_nodes)
+    t, w = _hermgauss(GH_NODES)
     x = f.nodes
     lo, hi = x[0], x[-1]
     acc = np.zeros_like(x)
@@ -188,8 +189,6 @@ def second_moment_generation_sum(params: BarParams, f: GridFunction, x: float, n
     The mixed moment at g = f and m = n: 2^n Q^n(f^2)(x) plus the over-pairs
     term sum_k 2^(n+k) Q^(n-k-1)(P(Q^k f (x) Q^k f))(x).
     """
-    if not 0 <= n <= 5:
-        raise ValueError("n must be in [0, 5]")
     return mixed_moment(params, f, f, x, n, n)
 
 
@@ -233,14 +232,20 @@ def true_variance_clt(params: BarParams, x: float, x0: float, x1: float, statist
                          populations)
 
     Defined in the stationary symmetric sub-case only: ``stationary_mu``
-    reads ``params.sigma_a``, which raises ``ValueError`` for any other model.
+    reads ``params.sigma_a``, which raises ``ValueError`` for any other model;
+    so does a point where a density underflows and the variance is 0 or inf.
     """
     if statistic == "p_hat":
-        p = transition_density_p(params, x, x0, x1)
-        return float(L2_NORM_SQ_CUBED * p / stationary_mu(params, x))
-    if statistic == "mu_tri":
-        return L2_NORM_SQ_CUBED * float(mu_triangle(params, x, x0, x1))
-    raise ValueError(f"unknown statistic {statistic!r}")
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # judged below
+            sigma2 = float(L2_NORM_SQ_CUBED * transition_density_p(params, x, x0, x1) / stationary_mu(params, x))
+    elif statistic == "mu_tri":
+        sigma2 = L2_NORM_SQ_CUBED * float(mu_triangle(params, x, x0, x1))
+    else:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    if not 0 < sigma2 < math.inf:
+        point = f"({x:g}, {x0:g}, {x1:g})"
+        raise ValueError(f"{statistic} limit variance at {point} is {sigma2:g}, not positive and finite")
+    return sigma2
 
 
 # -- Monte Carlo cross-check of the moment identities -------------------------

@@ -1,7 +1,6 @@
 import argparse
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 
 import bmckde.cli
+from bmckde import harness
 from bmckde.cli import main
 from bmckde.bar import BarParams, InitSpec, simulate
 from bmckde.cv import DEFAULT_GRID_SIZE
@@ -195,6 +195,14 @@ def test_oracle_check_passes(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("a1", [1.0, -1.0])
+def test_oracle_check_of_a_critical_model_passes(tmp_path, capsys, a1):
+    # (a0^2 + a1^2) / 2 = 1: the quadrature grid's spread must not divide by zero
+    cfg = write_config(tmp_path, "oc.json", {"a0": 1.0, "a1": a1})
+    assert main(["oracle-check", "--config", cfg]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_reproduce_figures_outputs(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -277,8 +285,8 @@ def test_estimate_nonfinite_bandwidth_exit_1(tmp_path, capsys, doc):
     out = str(tmp_path / "o.csv")
     capsys.readouterr()
     assert main(["estimate", "--tree", tree_path, "--config", est_cfg, "--out", out]) == 1
-    # the one-tree message, from the estimator or from BandwidthTriple
-    assert re.fullmatch(r"error: bandwidth (h[01]? )?must be positive and finite\n", capsys.readouterr().err)
+    # the one message of kernel_sums, the one bandwidth check
+    assert capsys.readouterr().err == "error: bandwidth must be positive and finite\n"
     assert not os.path.exists(out)
 
 
@@ -530,6 +538,21 @@ INVALID = {
     # the simulated sums at 1e150
     "oracle overflowing model 1e200": ("oracle-check", {**ORACLE_OVERFLOW, "a0": 1e200, "a1": 1e200}, None, []),
     "oracle overflowing model 1e150": ("oracle-check", {**ORACLE_OVERFLOW, "a0": 1e150, "a1": 1e150}, None, []),
+    # a CLT point whose limit variance underflows to 0 or overflows: judged
+    # before any tree is drawn
+    "clt point of zero variance": ("clt-check", {**CLT_MIN, "replications": 3, "point": [0.0, 40.0, 0.0]}, None, []),
+    "clt mu_tri point of zero variance": (
+        "clt-check",
+        {**CLT_MIN, "replications": 3, "point": [0.0, 40.0, 0.0], "statistic": "mu_tri"},
+        None,
+        [],
+    ),
+    "clt point of infinite variance": (
+        "clt-check",
+        {**CLT_MIN, "replications": 3, "point": [50.0, 25.0, 25.0]},
+        None,
+        [],
+    ),
 }
 # what stderr must say, where more than "error:"
 MESSAGES = {
@@ -552,12 +575,37 @@ MESSAGES = {
     "oracle overflowing model 1e150": (
         "error: coefficients a0=1e+150, a1=1e+150, b0=0, b1=0, sigma=1 overflow float64 within 3 generations from x=0.5"
     ),
+    "clt point of zero variance": "error: p_hat limit variance at (0, 40, 0) is 0, not positive and finite",
+    "clt mu_tri point of zero variance": "error: mu_tri limit variance at (0, 40, 0) is 0, not positive and finite",
+    "clt point of infinite variance": "error: p_hat limit variance at (50, 25, 25) is inf, not positive and finite",
 }
 
 
+def _record_tree_draws(monkeypatch) -> list:
+    """The depth of every CLT tree batch drawn from now on, in this process."""
+    drawn = []
+    draw = harness.simulate_trees
+
+    def record(*args):
+        drawn.append(args[1])
+        return draw(*args)
+
+    monkeypatch.setattr(harness, "simulate_trees", record)
+    return drawn
+
+
+def test_a_valid_clt_config_draws_its_trees(tmp_path, monkeypatch):
+    # the control of the invalid cases' "no tree drawn"
+    drawn = _record_tree_draws(monkeypatch)
+    config = write_config(tmp_path, "clt.json", CLT_MIN)
+    assert main(["clt-check", "--config", config, "--out", str(tmp_path / "rows.csv")]) == 0
+    assert drawn == [4]
+
+
 @pytest.mark.parametrize("case", list(INVALID))
-def test_invalid_config_exits_1_and_writes_nothing(tmp_path, capsys, case):
+def test_invalid_config_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch, case):
     command, doc, edit_tree, flags = INVALID[case]
+    drawn = _record_tree_draws(monkeypatch)
     tree = str(tmp_path / "tree.csv")
     simulate(BarParams(0.5, 0.5), 3, InitSpec.dirac(0.0), 1).to_csv(tree)
     if edit_tree:
@@ -576,6 +624,7 @@ def test_invalid_config_exits_1_and_writes_nothing(tmp_path, capsys, case):
     assert err.startswith("error:") and err.count("\n") == 1
     assert MESSAGES.get(case, "error:") in err
     assert os.listdir(out_dir) == []
+    assert drawn == []
 
 
 def test_overflowing_model_prints_only_its_error_line(tmp_path):

@@ -53,11 +53,23 @@ def test_kernel_constants():
 
 
 def test_bandwidth_triple_validation():
-    with pytest.raises(ValueError):
-        BandwidthTriple(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        BandwidthTriple(1.0, -1.0, 1.0)
-    assert BandwidthTriple.scalar(0.3) == BandwidthTriple(0.3, 0.3, 0.3)
+    # a triple is the tuple kernel_sums takes, and kernel_sums is its one check:
+    # every estimator refuses a zero, negative or NaN member with one message
+    assert BandwidthTriple.scalar(0.3) == (0.3, 0.3, 0.3)
+    s = simulate(BarParams(0.5, 0.5), 4, InitSpec.dirac(0.0), 2)
+    axes = (np.zeros(1), np.zeros(1), np.zeros(1))
+    for bad in (0.0, -0.3, math.nan):
+        for member in range(3):
+            bw = BandwidthTriple(*(bad if j == member else 0.3 for j in range(3)))
+            calls = [
+                lambda: mu_tri_hat(s, Population.GEN_N, bw, 0.0, 0.0, 0.0),
+                lambda: p_hat(s, Population.GEN_N, bw, 0.3, 0.0, 0.0, 0.0),
+                lambda: evaluate_on_grid(s, EstimatorSpec("mu_tri", bw=bw), axes),
+                lambda: evaluate_on_grid(s, EstimatorSpec("p", h=0.3, bw=bw), axes),
+            ]
+            for call in calls:
+                with pytest.raises(ValueError, match="^bandwidth must be positive and finite$"):
+                    call()
 
 
 def test_mu_hat_single_point_kernel_center():

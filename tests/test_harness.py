@@ -208,6 +208,24 @@ def test_depths_merge_in_n_list_order_at_any_worker_count():
     assert r1.summaries == [s.summaries[0] for s in singles]
 
 
+def test_a_repeated_depth_runs_once(monkeypatch):
+    # (6, 4, 6) runs each depth once, deepest first, and reports the depth-6
+    # rows and summary of (6, 4) again at its second occurrence
+    depths = []
+    block = harness._clt_block
+
+    def spy(args):
+        depths.append(args[1])
+        return block(args)
+
+    monkeypatch.setattr(harness, "_clt_block", spy)
+    repeated = run_clt_p_hat(small_spec(n_list=(6, 4, 6), replications=5))
+    assert depths == [6, 4]  # one block per depth at 5 replications
+    once = run_clt_p_hat(small_spec(n_list=(6, 4), replications=5))
+    assert repeated.rows == once.rows + once.rows[:5]
+    assert repeated.summaries == once.summaries + once.summaries[:1]
+
+
 _BLOCK_CASES = [
     (FixedGamma(0.2), (1, 2, 6)),  # depths 1 and 2: samples shorter than numpy's 8-wide pairwise unroll
     (RotSelector(), (2, 5)),
@@ -229,7 +247,7 @@ def test_block_rows_equal_one_tree_calls_bitwise(selector, n_list, statistic, po
         n, seed = row.n, row.seed
         assert seed == derive_seed(spec.seed, row.replication + (n << 32))
         sample = simulate(spec.model, n, InitSpec.stationary(), seed)
-        bw, h_den = harness._bandwidths_for(sample, selector, n, seed)
+        bw, h_den = harness._bandwidths_for(sample, selector, seed)
         if statistic == "p_hat":
             est = p_hat(sample, population, bw, h_den, *spec.point)
         else:

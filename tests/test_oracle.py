@@ -1,9 +1,11 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from bmckde import oracle
 from bmckde.bar import BarParams, InitSpec, mu_triangle, simulate, transition_density_p
 from bmckde.kernels import L2_NORM_SQ
 from bmckde.oracle import (
@@ -68,12 +70,13 @@ def test_apply_q_positivity():
     assert np.all(q.values >= 0)
 
 
-def test_apply_q_node_doubling_invariance():
+def test_apply_q_node_doubling_invariance(monkeypatch):
     # dense function grid so interpolation error cannot mask the quadrature
     grid = np.linspace(-14, 14, 8193)
     bump = GridFunction(grid, gaussian_bump(0.5, 0.8)(grid))
-    q64 = apply_q(SYM, bump, gh_nodes=64)
-    q128 = apply_q(SYM, bump, gh_nodes=128)
+    q64 = apply_q(SYM, bump)
+    monkeypatch.setattr(oracle, "GH_NODES", 128)  # _hermgauss is cached per node count
+    q128 = apply_q(SYM, bump)
     assert np.max(np.abs(q64.values - q128.values)) < 1e-9
 
 
@@ -288,3 +291,28 @@ def test_true_variance_constants():
     assert true_variance_clt(sym, 0, 0, 0, "mu_tri") == pytest.approx(k6 * mt, rel=1e-12)
     with pytest.raises(ValueError):
         true_variance_clt(sym, 0, 0, 0, "nope")
+
+
+@pytest.mark.parametrize(
+    "statistic, point, message",
+    [
+        # at (0, 40, 0) the child density underflows to 0; at (50, 25, 25)
+        # the stationary density of x does, so P / mu(x) is infinite
+        ("p_hat", (0.0, 40.0, 0.0), "p_hat limit variance at (0, 40, 0) is 0,"),
+        ("mu_tri", (0.0, 40.0, 0.0), "mu_tri limit variance at (0, 40, 0) is 0,"),
+        ("p_hat", (50.0, 25.0, 25.0), "p_hat limit variance at (50, 25, 25) is inf,"),
+        ("mu_tri", (50.0, 25.0, 25.0), "mu_tri limit variance at (50, 25, 25) is 0,"),
+    ],
+)
+@pytest.mark.filterwarnings("error")  # and no numpy warning on the way
+def test_true_variance_rejects_a_point_of_underflowing_densities(statistic, point, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        true_variance_clt(BarParams(0.5, 0.5, sigma=1.0), *point, statistic)
+
+
+@pytest.mark.parametrize("a1", [1.0, -1.0])
+def test_default_grid_of_a_critical_model(a1):
+    # (a0^2 + a1^2) / 2 = 1: the spread is 4 sigma, the unstable branch's
+    # without its 1/sqrt|1 - m2| factor, and the half-width 12 spreads
+    grid = default_grid(BarParams(1.0, a1, sigma=0.5))
+    assert grid[0] == -24.0 and grid[-1] == 24.0 and grid.size == oracle.GRID_NODES
