@@ -9,8 +9,17 @@
 # the change in even ones.  For every end-to-end metric of BENCHMARK.json it
 # prints each pair's two values, each side's median and quartiles, the
 # number of pairs the change wins (ties count for neither side), and whether
-# the medians differ by more than the parent's interquartile range.  Any run
-# that is not `correct` is named.  It only reads what perfbench prints.
+# the medians differ by more than the parent's interquartile range, then a
+# verdict line, the first of these that holds:
+#
+#   gain shown          the change wins at least 9 of 10 pairs and its median
+#                       is better than the parent's by more than the parent's IQR
+#   worse beyond bound  the change's median is worse than the parent's by more
+#                       than the metric's `bound`, a fraction of the parent median
+#   unresolved          the parent's IQR is wider than that bound
+#   within bound        none of the above
+#
+# Any run that is not `correct` is named.  It only reads what perfbench prints.
 #
 # Given the same checkout twice (PARENT_DIR and CHANGE_DIR resolve to one
 # directory), it makes an A/A run and says so on its first output line: the
@@ -86,6 +95,17 @@ for metric in json.load(open(bench))["end_to_end"]:
     (pq1, pq3), (cq1, cq3) = quartiles(vals["parent"]), quartiles(vals["change"])
     print(f"parent median {statistics.median(vals['parent']):.4g} (quartiles {pq1:.4g}, {pq3:.4g})")
     print(f"change median {statistics.median(vals['change']):.4g} (quartiles {cq1:.4g}, {cq3:.4g})")
-    gap = statistics.median(vals["parent"]) - statistics.median(vals["change"])
-    print(f"change wins {wins}/{len(pairs)}; median gap {gap if lower else -gap:+.4g} against parent IQR {pq3 - pq1:.4g}")
+    parent_median = statistics.median(vals["parent"])
+    gap = parent_median - statistics.median(vals["change"])
+    gain, iqr, allowed = gap if lower else -gap, pq3 - pq1, metric["bound"] * abs(parent_median)
+    print(f"change wins {wins}/{len(pairs)}; median gap {gain:+.4g} against parent IQR {iqr:.4g}")
+    if 10 * wins >= 9 * len(pairs) and gain > iqr:
+        verdict = "gain shown"
+    elif -gain > allowed:
+        verdict = "worse beyond bound"
+    elif iqr > allowed:
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
+    print(f"verdict: {verdict} (bound {metric['bound']:g} of the parent median: {allowed:.4g})")
 EOF

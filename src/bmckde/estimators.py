@@ -5,9 +5,10 @@ The sample is the set of mother-daughters triangles over a chosen index set
 binning or FFT shortcuts, done by one primitive, ``kernel_sums``, over a
 stack of same-size samples, one tree per row with a bandwidth per tree or one
 for all, and a tensor grid of evaluation points; ``p_at`` is the one quotient
-of two of its sums.  It keeps the daughter axes' kernel rows whole and forms
-the products in two reused cache-sized buffers; every value is still one
-contiguous sum over the sample.  The scalar estimators are one-tree,
+of two of its sums.  It keeps the last axis's (x1) kernel rows whole,
+computes the others where they are used, and forms the products in two
+reused cache-sized buffers; every value is still one contiguous sum over
+the sample.  The scalar estimators are one-tree,
 one-point calls of these two and ``evaluate_on_grid`` is a one-tree call, so
 grid evaluations agree bitwise with scalar calls, and each tree of a stack
 with its one-tree call, by construction; the CLT harness estimates a block
@@ -107,20 +108,22 @@ def kernel_sums(columns, bandwidths, axes) -> np.ndarray:
     bandwidths[j]) per sample member; the value is the sum over the sample
     of the product of those factors, divided by N times the bandwidths.
     Values come as (R, G), one row per tree, each flattened in C order
-    (first axis slowest).  The x0 and x1 kernel rows are kept whole, the x
-    rows computed in blocks.  The products ``k0 * k1`` of one x0 row with a
-    chunk of x1 rows (the whole axis, for several x0 rows, when it fits) go
-    into a reused buffer, and each x row is multiplied into a second one and
-    summed.  Every value is the contiguous row sum of ``kx * (k0 * k1)``,
+    (first axis slowest).  The x1 kernel rows are kept whole; the x rows
+    are computed in blocks and the x0 rows by the unit that uses them.  The
+    products ``k0 * k1`` of one x0 row with a chunk of x1 rows (the whole
+    axis, for several x0 rows, when it fits) go into a reused buffer, and
+    each x row is multiplied into a second one and summed.  Every value is the contiguous row sum of ``kx * (k0 * k1)``,
     every tree is computed as it would be alone, so any grid agrees bitwise
     with one-point grids and any stack with one-tree calls.  Buffers hold at
-    most ``_BLOCK_ENTRIES`` entries, or one row per tree if that is more.
+    most ``_BLOCK_ENTRIES`` entries, or one row per tree if that is more,
+    so a call holds the n1 x N x R doubles of the x1 rows, the result, and
+    a few such buffers per thread.
 
-    The kernel-row blocks, then the (x block, x0 rows) product units, each
+    The x1 kernel-row blocks, then the (x block, x0 rows) product units, each
     looping over its x1 chunks, are mapped over the threads of one
-    ``_worker_pool`` that lives for this call.  A thread fills its two
-    buffers on its first unit and keeps the kernel rows of the last x block
-    it took.  Each unit is computed exactly as on one thread, into its own
+    ``_worker_pool`` that lives for this call.  A unit computes its own x0
+    rows; a thread fills its two buffers on its first unit and keeps the
+    kernel rows of the last x block it took.  Each unit is computed exactly as on one thread, into its own
     slice of the result, so the values do not depend on the thread count or
     on which thread takes which unit.  One-unit calls (every scalar
     estimate) and calls inside a ``multiprocessing`` worker run on the
@@ -143,42 +146,37 @@ def kernel_sums(columns, bandwidths, axes) -> np.ndarray:
     if size == 0:
         raise ValueError("empty index set")
     step = max(1, _BLOCK_ENTRIES // (trees * size))  # kernel rows per tree per buffer
-    trailing = [np.empty((trees, ax.size, size)) for ax in axes[1:]]
-    row_blocks = [
-        (rows[:, i : i + step], ax[i : i + step], col, h)
-        for rows, ax, col, h in zip(trailing, axes[1:], columns[1:], hs[1:])
-        for i in range(0, ax.size, step)
-    ]
     out = np.empty((trees, axes[0].size, math.prod(ax.size for ax in axes[1:])))
     lead_blocks = range(0, axes[0].size, step)
-    if trailing:
-        k0, k1 = trailing
-        n0, n1 = k0.shape[1], k1.shape[1]
+    if len(axes) > 1:
+        n0, n1 = axes[1].size, axes[2].size
+        k1 = np.empty((trees, n1, size))
+        row_blocks = range(0, n1, step)
         chunk = min(step, n1)
         group = min(n0, max(1, step // n1))  # x0 rows per unit
         units = [(a0, i0) for a0 in lead_blocks for i0 in range(0, n0, group)]
     else:
+        row_blocks = []
         units = [(a0, 0) for a0 in lead_blocks]
     mine = threading.local()  # per thread: its x block's kernel rows and its two product buffers
 
-    def kernel_rows(ax, col, h):
-        return gaussian((ax[None, :, None] - col[:, None, :]) / h)
+    def kernel_rows(j, i, rows):
+        return gaussian((axes[j][i : i + rows, None] - columns[j][:, None, :]) / hs[j])
 
-    def fill_rows(block):
-        rows, ax, col, h = block
-        rows[...] = kernel_rows(ax, col, h)
+    def fill_rows(i1):
+        k1[:, i1 : i1 + step] = kernel_rows(2, i1, step)
 
     def fill_products(unit):
         a0, i0 = unit
         if getattr(mine, "lead_at", None) != a0:  # a thread may take any unit next
-            mine.lead = kernel_rows(axes[0][a0 : a0 + step], columns[0], hs[0])
+            mine.lead = kernel_rows(0, a0, step)
             mine.lead_at = a0
-        if not trailing:
+        if len(axes) == 1:
             out[:, a0 : a0 + step, 0] = np.sum(mine.lead, axis=-1)
             return
         if not hasattr(mine, "tail"):  # the thread's first unit
             mine.tail, mine.prod = np.empty((2, trees * group * chunk, size))
-        r0 = k0[:, i0 : i0 + group, None]
+        r0 = kernel_rows(1, i0, group)[:, :, None]
         for i1 in range(0, n1, chunk):
             r1 = k1[:, None, i1 : i1 + chunk]
             m = r0.shape[1] * r1.shape[2]

@@ -68,14 +68,19 @@ def default_grid(params: BarParams) -> np.ndarray:
     branch (max |a| >= 1) edge nodes necessarily leak and results carry the
     tail warning.  A critical model, m2 = (a0^2 + a1^2) / 2 = 1, takes the
     unstable branch's spread 4 sigma without its 1 / sqrt|1 - m2| factor.
+    The half-width before the centre shift is capped at 128 sigma, so the
+    GRID_NODES nodes stay at most sigma / 2 apart and resolve a
+    sigma-wide bump: near-critical models (m2 or max |a| near 1) would
+    otherwise spread them thousands of sigma apart.  Where the cap binds,
+    edge nodes leak, and ``apply_q`` raises the tail warning itself.
     """
     a_max = max(abs(params.a0), abs(params.a1))
     m2 = 0.5 * (params.a0**2 + params.a1**2)
     sd = params.sigma / math.sqrt(1.0 - m2) if m2 < 1 else 4.0 * params.sigma / (abs(1 - m2) ** 0.5 or 1.0)
     a_bar = 0.5 * (params.a0 + params.a1)
     center = 0.5 * (params.b0 + params.b1) / (1.0 - a_bar) if abs(a_bar) < 1 else 0.0
-    half_width = max(10.0 * sd, 7.0 * params.sigma / (1.0 - a_max) if a_max < 1 else 12.0 * sd)
-    half_width += abs(center)
+    spread = max(10.0 * sd, 7.0 * params.sigma / (1.0 - a_max) if a_max < 1 else 12.0 * sd)
+    half_width = min(spread, 128.0 * params.sigma) + abs(center)
     return np.linspace(-half_width, half_width, GRID_NODES)
 
 

@@ -4,7 +4,8 @@ Files are written to a temporary name and renamed into place, so a failure
 leaves no partial file.  A table is a header row and ``\\n``-ended rows as
 ``csv`` writes them.  Rows hold Python ints, floats and strings (pass arrays
 as ``.tolist()``): ``csv`` writes a float as its ``repr``, which reads back to
-the same bits.
+the same bits.  A table of numbers only is written by ``write_numbers`` from
+its columns, in the same bytes, each block of rows formatted into one string.
 """
 
 import csv
@@ -45,3 +46,20 @@ def write_rows(fh, header, rows) -> None:
 def write_csv(path: str, header, rows) -> None:
     """The table ``header`` + ``rows`` at ``path``, written atomically."""
     _write_through(path, lambda fh: write_rows(fh, header, rows))
+
+
+def write_numbers(path: str, header, columns, block: int) -> None:
+    """The table ``header`` + one row per entry of the equal-length 1-D arrays ``columns``, written atomically.
+
+    The arrays hold ints or floats, and each number is written as ``csv``
+    writes it, its ``repr``; ``block`` rows at a time are held as Python
+    objects, formatted and joined into one write.
+    """
+    line = ",".join(["%r"] * len(columns)) + "\n"
+
+    def fill(fh) -> None:
+        write_rows(fh, header, ())
+        for i in range(0, len(columns[0]), block):
+            fh.write("".join([line % row for row in zip(*(col[i : i + block].tolist() for col in columns))]))
+
+    _write_through(path, fill)

@@ -19,13 +19,12 @@ parse.
 from __future__ import annotations
 
 import enum
-import itertools
 import os
 import warnings
 
 import numpy as np
 
-from .table import atomic_write, write_csv
+from .table import atomic_write, write_numbers
 
 MAX_DEPTH = 62  # rank of the deepest stored level must fit in an int64
 _CSV_HEADER = ("generation", "rank", "value")
@@ -128,13 +127,7 @@ class TreeSample:
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, path: str) -> None:
-        k, r = _index_columns(self._values.size)
-        v = self._values
-        blocks = (
-            zip(k[i : i + _CSV_BLOCK].tolist(), r[i : i + _CSV_BLOCK].tolist(), v[i : i + _CSV_BLOCK].tolist())
-            for i in range(0, v.size, _CSV_BLOCK)
-        )
-        write_csv(path, _CSV_HEADER, itertools.chain.from_iterable(blocks))
+        write_numbers(path, _CSV_HEADER, (*_index_columns(self._values.size), self._values), _CSV_BLOCK)
 
     @classmethod
     def from_csv(cls, path: str) -> "TreeSample":

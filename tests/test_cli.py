@@ -203,6 +203,19 @@ def test_oracle_check_of_a_critical_model_passes(tmp_path, capsys, a1):
     assert "FAIL" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "a0, a1",
+    [(0.99, 0.99), (0.999, 0.999), (1.0000001, 1.0000001), (0.9999999, 0.9999999), (0.9999999, 0.0)],
+)
+def test_oracle_check_of_a_near_critical_model_passes(tmp_path, capsys, a0, a1):
+    # m2 or max |a| near 1: an uncapped quadrature grid spreads its nodes so
+    # far apart that the bump falls between them and its rows read 0
+    cfg = write_config(tmp_path, "oc.json", {"a0": a0, "a1": a1})
+    assert main(["oracle-check", "--config", cfg]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 5 and all(row.endswith(",pass") for row in rows)
+
+
 def test_reproduce_figures_outputs(tmp_path):
     cfg = write_config(
         tmp_path,

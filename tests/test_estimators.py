@@ -599,10 +599,11 @@ def test_threaded_call_leaves_no_thread_running():
     assert threading.active_count() == before
 
 
-def test_grid_scratch_memory_is_two_kernel_row_matrices():
-    # depth-14 41x41 slice on two threads: the x0 and x1 kernel rows (41 x 2^14
-    # doubles, 5.1 MiB each) are kept whole, every other buffer holds at most
-    # _BLOCK_ENTRIES doubles, so blocks of tens of MiB break the bound
+def test_grid_scratch_memory_is_one_kernel_row_matrix():
+    # depth-14 41x41 slice on two threads: only the x1 kernel rows (41 x 2^14
+    # doubles, 5.1 MiB) are kept whole, each unit computes its own x0 rows,
+    # and every other buffer holds at most _BLOCK_ENTRIES doubles, so a second
+    # kernel-row matrix or blocks of tens of MiB break the bound
     n = 14
     s = simulate(BarParams(1.2, 0.7), n, InitSpec.dirac(0.0), 7)
     ax = np.linspace(-3, 3, 41)
@@ -615,7 +616,7 @@ def test_grid_scratch_memory_is_two_kernel_row_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * kernel_rows + 4 * 2**20
+    assert peak < kernel_rows + 4 * 2**20
     assert bits(est.values[900]) == bits(p_hat(s, Population.GEN_N, spec.bw, 0.3, *est.points[900]))
 
 

@@ -316,3 +316,17 @@ def test_default_grid_of_a_critical_model(a1):
     # without its 1/sqrt|1 - m2| factor, and the half-width 12 spreads
     grid = default_grid(BarParams(1.0, a1, sigma=0.5))
     assert grid[0] == -24.0 and grid[-1] == 24.0 and grid.size == oracle.GRID_NODES
+
+
+@pytest.mark.parametrize("a0, a1", [(0.999, 0.999), (1.0000001, 1.0000001), (0.9999999, 0.0)])
+def test_default_grid_of_a_near_critical_model_is_capped_and_warns(a0, a1):
+    # the spread, 10 sigma / sqrt|1 - m2| or 7 sigma / (1 - max |a|), is capped
+    # at 128 sigma before the centre shift, and the leaking edge nodes raise
+    # apply_q's tail warning with no help
+    params = BarParams(a0, a1, b0=0.2, b1=0.2, sigma=0.5)
+    a_bar = 0.5 * (a0 + a1)
+    center = 0.2 / (1.0 - a_bar) if a_bar < 1 else 0.0
+    grid = default_grid(params)
+    assert grid[-1] == -grid[0] == 64.0 + center
+    assert not grid_function(grid, lambda y: y).tail_warning
+    assert apply_q(params, grid_function(grid, lambda y: y)).tail_warning

@@ -1,4 +1,6 @@
 import ast
+import csv
+import io
 import os
 import tracemalloc
 import warnings
@@ -186,6 +188,26 @@ def test_csv_write_holds_a_block_of_rows_not_the_table(tmp_path):
         tracemalloc.stop()
     assert TreeSample.from_csv(path) == s
     assert peak < 3 << 20
+
+
+def test_csv_write_is_the_bytes_csv_writer_gives(tmp_path, monkeypatch):
+    # ints and float reprs joined per block of rows, as csv.writer writes
+    # them; the blocks split the table, and the awkward reprs round-trip
+    values = make_sample(5, seed=4)._values.copy()
+    values[[3, 17, 40, 126]] = -0.0, 1e-300, 5e-324, 1.5e22
+    s = TreeSample(values)
+    monkeypatch.setattr(bmckde.tree, "_CSV_BLOCK", 10)
+    path = tmp_path / "tree.csv"
+    s.to_csv(str(path))
+    expected = io.StringIO()
+    w = csv.writer(expected, lineterminator="\n")
+    w.writerow(["generation", "rank", "value"])
+    k, r = bmckde.tree._index_columns(values.size)
+    w.writerows(zip(k.tolist(), r.tolist(), values.tolist()))
+    assert path.read_text() == expected.getvalue()
+    back = TreeSample.from_csv(str(path))._values
+    assert back.tobytes() == values.tobytes()
+    assert "-0.0\n" in expected.getvalue() and "5e-324\n" in expected.getvalue()
 
 
 def test_levels_are_immutable():
