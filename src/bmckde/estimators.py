@@ -37,7 +37,7 @@ from typing import Any
 import numpy as np
 
 from .kernels import BandwidthTriple, gaussian
-from .table import write_csv
+from .table import write_numbers
 from .tree import Population, TreeSample
 
 # Quotient degeneracy threshold: the Gaussian kernel is strictly positive, so
@@ -292,7 +292,7 @@ class DensityEstimate:
 
     def to_csv(self, path: str) -> None:
         cols = ["x"] if self.points.ndim == 1 else ["x", "x0", "x1"]
-        write_csv(path, cols + ["value"], np.column_stack([self.points, self.values]).tolist())
+        write_numbers(path, cols + ["value"], np.column_stack([self.points, self.values]).T)
 
 
 def product_points(xs: np.ndarray, x0s: np.ndarray, x1s: np.ndarray) -> np.ndarray:

@@ -30,6 +30,8 @@ from .tree import level_slice
 GH_NODES = 64  # per Gaussian component; spectral accuracy for smooth integrands
 GRID_NODES = 512
 TAIL_TOLERANCE = 1e-10
+GRID_STEP = 0.25  # widest node spacing: a quarter of gaussian_bump()'s unit width
+REACH_SDS = 8.0  # standard deviations each generation's window reaches out
 _P_ROWS = 32  # grid nodes per block of _apply_p_outer: a 1 MB buffer at gh = 64
 _SQRT2 = math.sqrt(2.0)
 
@@ -60,28 +62,58 @@ class GridFunction:
         return self._spline(np.clip(x, self.nodes[0], self.nodes[-1]))
 
 
-def default_grid(params: BarParams) -> np.ndarray:
-    """Evaluation grid wide enough that Gaussian tails at the edge are negligible.
+def default_grid(params: BarParams, x: float = 0.0, generations: int = 5) -> np.ndarray:
+    """Evaluation grid for the operator iterates behind Q^k f(x), k <= generations.
 
-    Wide enough for one-step kernels from every grid node to keep their tail
-    mass below TAIL_TOLERANCE whenever the model contracts; with an unstable
-    branch (max |a| >= 1) edge nodes necessarily leak and results carry the
-    tail warning.  A critical model, m2 = (a0^2 + a1^2) / 2 = 1, takes the
-    unstable branch's spread 4 sigma without its 1 / sqrt|1 - m2| factor.
-    The half-width before the centre shift is capped at 128 sigma, so the
-    GRID_NODES nodes stay at most sigma / 2 apart and resolve a
-    sigma-wide bump: near-critical models (m2 or max |a| near 1) would
-    otherwise spread them thousands of sigma apart.  Where the cap binds,
-    edge nodes leak, and ``apply_q`` raises the tail warning itself.
+    The model's own window first: wide enough for one-step kernels from every
+    grid node to keep their tail mass below TAIL_TOLERANCE whenever the model
+    contracts; with an unstable branch (max |a| >= 1) edge nodes necessarily
+    leak and results carry the tail warning.  A critical model,
+    m2 = (a0^2 + a1^2) / 2 = 1, takes the unstable branch's spread 4 sigma
+    without its 1 / sqrt|1 - m2| factor.  That window is used when its nodes
+    are at most GRID_STEP apart and it holds the window ``_reach`` gives.
+    Otherwise, as for near-critical models (m2 or max |a| near 1), whose
+    window spreads the nodes far wider than the bump function, or a start
+    point x outside the window, the grid spans the ``_reach`` window itself.
+    Its edge nodes leak, so ``apply_q`` sets the tail warning, but the values
+    at x need none of the mass that leaves.  Where even that window is wider
+    than (GRID_NODES - 1) * GRID_STEP, nothing resolves the bump on this many
+    nodes.
     """
     a_max = max(abs(params.a0), abs(params.a1))
     m2 = 0.5 * (params.a0**2 + params.a1**2)
     sd = params.sigma / math.sqrt(1.0 - m2) if m2 < 1 else 4.0 * params.sigma / (abs(1 - m2) ** 0.5 or 1.0)
     a_bar = 0.5 * (params.a0 + params.a1)
     center = 0.5 * (params.b0 + params.b1) / (1.0 - a_bar) if abs(a_bar) < 1 else 0.0
-    spread = max(10.0 * sd, 7.0 * params.sigma / (1.0 - a_max) if a_max < 1 else 12.0 * sd)
-    half_width = min(spread, 128.0 * params.sigma) + abs(center)
-    return np.linspace(-half_width, half_width, GRID_NODES)
+    half_width = max(10.0 * sd, 7.0 * params.sigma / (1.0 - a_max) if a_max < 1 else 12.0 * sd)
+    half_width += abs(center)
+    lo, hi = _reach(params, x, generations)
+    if 2.0 * half_width <= (GRID_NODES - 1) * GRID_STEP and -half_width <= lo and hi <= half_width:
+        return np.linspace(-half_width, half_width, GRID_NODES)
+    return np.linspace(lo, hi, GRID_NODES)
+
+
+def _reach(params: BarParams, x: float, generations: int) -> tuple[float, float]:
+    """A window holding generations 0..``generations`` of a tree started at x.
+
+    Generation k's means lie in the hull of the affine branch maps applied k
+    times to x, and its standard deviation is at most s_k, s_k^2 = sigma^2 (1
+    + A^2 + ... + A^(2(k-1))) with A = max |a|.  Each generation's hull is
+    widened by REACH_SDS times s_k (x itself by REACH_SDS sigma).
+    """
+    branches = ((params.a0, params.b0), (params.a1, params.b1))
+    a_max = max(abs(params.a0), abs(params.a1))
+    pad = REACH_SDS * params.sigma
+    m_lo = m_hi = float(x)
+    lo, hi = m_lo - pad, m_hi + pad
+    var = 0.0
+    for _ in range(generations):
+        ends = [a * m + b for a, b in branches for m in (m_lo, m_hi)]
+        m_lo, m_hi = min(ends), max(ends)
+        var = a_max**2 * var + params.sigma**2
+        pad = REACH_SDS * math.sqrt(var)
+        lo, hi = min(lo, m_lo - pad), max(hi, m_hi + pad)
+    return lo, hi
 
 
 def _check_magnitudes(params: BarParams, x: float, n: int) -> None:
@@ -297,7 +329,7 @@ def moment_check_table(
     if replications < 2:
         raise ValueError("need at least 2 replications for a standard error")
     _check_magnitudes(params, x, n)
-    grid = default_grid(params)
+    grid = default_grid(params, x, n)
     f_id = grid_function(grid, lambda y: y)
     f_bump = grid_function(grid, gaussian_bump())
 

@@ -11,6 +11,8 @@ its columns, in the same bytes, each block of rows formatted into one string.
 import csv
 import os
 
+_NUMBER_BLOCK = 1 << 12  # rows held as Python objects at a time by write_numbers
+
 
 def atomic_write(path: str, write_fn) -> None:
     """Run write_fn against a temp file, then rename into place."""
@@ -48,18 +50,19 @@ def write_csv(path: str, header, rows) -> None:
     _write_through(path, lambda fh: write_rows(fh, header, rows))
 
 
-def write_numbers(path: str, header, columns, block: int) -> None:
+def write_numbers(path: str, header, columns) -> None:
     """The table ``header`` + one row per entry of the equal-length 1-D arrays ``columns``, written atomically.
 
     The arrays hold ints or floats, and each number is written as ``csv``
-    writes it, its ``repr``; ``block`` rows at a time are held as Python
-    objects, formatted and joined into one write.
+    writes it, its ``repr``; ``_NUMBER_BLOCK`` rows at a time are held as
+    Python objects, formatted and joined into one write.
     """
     line = ",".join(["%r"] * len(columns)) + "\n"
 
     def fill(fh) -> None:
         write_rows(fh, header, ())
-        for i in range(0, len(columns[0]), block):
-            fh.write("".join([line % row for row in zip(*(col[i : i + block].tolist() for col in columns))]))
+        for i in range(0, len(columns[0]), _NUMBER_BLOCK):
+            rows = zip(*(col[i : i + _NUMBER_BLOCK].tolist() for col in columns))
+            fh.write("".join([line % row for row in rows]))
 
     _write_through(path, fill)

@@ -28,7 +28,6 @@ from .table import atomic_write, write_numbers
 
 MAX_DEPTH = 62  # rank of the deepest stored level must fit in an int64
 _CSV_HEADER = ("generation", "rank", "value")
-_CSV_BLOCK = 1 << 12  # rows held as Python objects at a time while writing
 
 
 class Population(enum.Enum):
@@ -127,7 +126,7 @@ class TreeSample:
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, path: str) -> None:
-        write_numbers(path, _CSV_HEADER, (*_index_columns(self._values.size), self._values), _CSV_BLOCK)
+        write_numbers(path, _CSV_HEADER, (*_index_columns(self._values.size), self._values))
 
     @classmethod
     def from_csv(cls, path: str) -> "TreeSample":

@@ -204,13 +204,24 @@ def test_oracle_check_of_a_critical_model_passes(tmp_path, capsys, a1):
 
 
 @pytest.mark.parametrize(
-    "a0, a1",
-    [(0.99, 0.99), (0.999, 0.999), (1.0000001, 1.0000001), (0.9999999, 0.9999999), (0.9999999, 0.0)],
+    "model",
+    [
+        {"a0": 0.99, "a1": 0.99},
+        {"a0": 0.999, "a1": 0.999},
+        {"a0": 1.0000001, "a1": 1.0000001},
+        {"a0": 0.9999999, "a1": 0.9999999},
+        {"a0": 0.9999999, "a1": 0.0},
+        {"a0": 0.9999999, "a1": 0.9999999, "b0": 0.2, "b1": 0.2},
+        {"a0": 0.999, "a1": 0.999, "sigma": 4.0},
+        {"a0": 0.99, "a1": 0.99, "sigma": 1.0, "x": 200.0},
+    ],
 )
-def test_oracle_check_of_a_near_critical_model_passes(tmp_path, capsys, a0, a1):
-    # m2 or max |a| near 1: an uncapped quadrature grid spreads its nodes so
-    # far apart that the bump falls between them and its rows read 0
-    cfg = write_config(tmp_path, "oc.json", {"a0": a0, "a1": a1})
+def test_oracle_check_of_a_near_critical_model_passes(tmp_path, capsys, model):
+    # m2 or max |a| near 1: the model's own quadrature window spreads its
+    # nodes so far apart that the bump falls between them, and its centre
+    # b / (1 - a) runs off with b != 0; a start point far out must stay on
+    # the grid
+    cfg = write_config(tmp_path, "oc.json", model)
     assert main(["oracle-check", "--config", cfg]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 5 and all(row.endswith(",pass") for row in rows)

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import multiprocessing
 import os
@@ -19,6 +21,7 @@ from bmckde import estimators
 from bmckde.bar import BarParams, InitSpec, simulate, simulate_trees
 from bmckde.estimators import (
     DENOMINATOR_FLOOR,
+    DensityEstimate,
     EstimatorSpec,
     evaluate_on_grid,
     mu_hat,
@@ -285,6 +288,20 @@ def test_density_estimate_csv(tmp_path):
     assert rows[0] == "x,value"
     assert len(rows) == 6
     assert sorted(p.name for p in tmp_path.iterdir()) == ["est.csv"]
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_density_estimate_csv_is_the_bytes_csv_writer_gives(tmp_path, columns):
+    # the numbers-only writer: every float as its repr, awkward ones included
+    points = np.array([-0.0, 1e-300, 5e-324, 1.5e22, 0.1]).repeat(columns).reshape(5, columns).squeeze()
+    est = DensityEstimate(points, np.array([0.3, -0.0, 2.5e-310, 7e100, 1 / 3]))
+    path = tmp_path / "est.csv"
+    est.to_csv(str(path))
+    expected = io.StringIO()
+    w = csv.writer(expected, lineterminator="\n")
+    w.writerow(["x", "value"] if columns == 1 else ["x", "x0", "x1", "value"])
+    w.writerows(np.column_stack([est.points, est.values]).tolist())
+    assert path.read_text() == expected.getvalue()
 
 
 def test_empty_grid_rejected():

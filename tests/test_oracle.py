@@ -318,15 +318,29 @@ def test_default_grid_of_a_critical_model(a1):
     assert grid[0] == -24.0 and grid[-1] == 24.0 and grid.size == oracle.GRID_NODES
 
 
-@pytest.mark.parametrize("a0, a1", [(0.999, 0.999), (1.0000001, 1.0000001), (0.9999999, 0.0)])
-def test_default_grid_of_a_near_critical_model_is_capped_and_warns(a0, a1):
-    # the spread, 10 sigma / sqrt|1 - m2| or 7 sigma / (1 - max |a|), is capped
-    # at 128 sigma before the centre shift, and the leaking edge nodes raise
-    # apply_q's tail warning with no help
-    params = BarParams(a0, a1, b0=0.2, b1=0.2, sigma=0.5)
-    a_bar = 0.5 * (a0 + a1)
-    center = 0.2 / (1.0 - a_bar) if a_bar < 1 else 0.0
-    grid = default_grid(params)
-    assert grid[-1] == -grid[0] == 64.0 + center
-    assert not grid_function(grid, lambda y: y).tail_warning
-    assert apply_q(params, grid_function(grid, lambda y: y)).tail_warning
+@pytest.mark.parametrize(
+    "a, b, sigma, x, n",
+    [
+        (0.99, 0.0, 1.0, 200.0, 3),
+        (0.99, 0.0, 0.1, 20.0, 3),
+        (0.999, 0.2, 0.5, 0.5, 5),
+        (0.9999999, 0.2, 0.5, 0.5, 5),
+        (1.0000001, 0.2, 0.5, 0.5, 5),
+        (0.999, 0.0, 4.0, 0.5, 3),
+    ],
+)
+def test_quadrature_of_a_near_critical_model_matches_its_closed_form(a, b, sigma, x, n):
+    # with a0 = a1 = a a generation-n value from x is N(m, v), m = a^n x + b (1
+    # + ... + a^(n-1)), v = sigma^2 (1 + ... + a^(2(n-1))); the model's own
+    # window would put its nodes up to 1e5 apart, or leave x off the grid,
+    # so the grid spans what n generations from x reach instead
+    params = BarParams(a, a, b0=b, b1=b, sigma=sigma)
+    grid = default_grid(params, x, n)
+    assert grid[0] < x < grid[-1] and grid[1] - grid[0] <= oracle.GRID_STEP
+    m = a**n * x + b * sum(a**j for j in range(n))
+    v = sigma**2 * sum(a ** (2 * j) for j in range(n))
+    ident = grid_function(grid, lambda y: y)
+    assert expected_generation_sum(params, ident, x, n) == pytest.approx(2**n * m, rel=1e-12)
+    bump = expected_generation_sum(params, grid_function(grid, gaussian_bump()), x, n)
+    assert bump == pytest.approx(2**n * math.exp(-0.5 * m**2 / (1 + v)) / math.sqrt(1 + v), rel=1e-3, abs=1e-12)
+    assert apply_q(params, ident).tail_warning  # the edge nodes leak; x's values need none of it

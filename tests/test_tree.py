@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bmckde.table
 import bmckde.tree
 from bmckde.tree import Population, TreeSample, tree_size
 
@@ -196,7 +197,7 @@ def test_csv_write_is_the_bytes_csv_writer_gives(tmp_path, monkeypatch):
     values = make_sample(5, seed=4)._values.copy()
     values[[3, 17, 40, 126]] = -0.0, 1e-300, 5e-324, 1.5e22
     s = TreeSample(values)
-    monkeypatch.setattr(bmckde.tree, "_CSV_BLOCK", 10)
+    monkeypatch.setattr(bmckde.table, "_NUMBER_BLOCK", 10)
     path = tmp_path / "tree.csv"
     s.to_csv(str(path))
     expected = io.StringIO()
