@@ -18,6 +18,7 @@ one-seed call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,10 @@ import numpy as np
 from .kernels import SQRT_2PI
 from .rng import philox_stream, rekey
 from .tree import MAX_DEPTH, TreeSample, level_slice
+
+# sigma^4 is finite below this bound, and so is rho^2 < sigma^4: the noise
+# covariance and the transition density's determinant cannot overflow
+_SIGMA_MAX = sys.float_info.max**0.25
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,8 @@ class BarParams:
     def __post_init__(self) -> None:
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError("sigma must be positive and finite")
+        if not self.sigma < _SIGMA_MAX:
+            raise ValueError(f"sigma must be below {_SIGMA_MAX:.6g}, where sigma^4 overflows float64")
         if not abs(self.rho) < self.sigma**2:
             raise ValueError("need |rho| < sigma^2 for a valid noise covariance")
         for name in ("a0", "a1", "b0", "b1"):

@@ -45,7 +45,7 @@ from .harness import (
 )
 from .oracle import moment_check_table
 from .rot import DEFAULT_LAG, rot_select
-from .table import write_csv, write_rows, write_text
+from .table import write_csv, write_numbers, write_rows, write_text
 from .tree import MAX_DEPTH, Population, TreeSample
 
 
@@ -337,8 +337,7 @@ def _cmd_cv_select(args, cfg: dict) -> int:
     res = cv_select(sample, K=cfg["K"], grid=_axis(cfg["grid"]) if "grid" in cfg else None, seed=cfg["seed"])
     if "grid" not in cfg:  # the default candidates depend on the tree's depth
         cfg["grid"] = res.grid.tolist()
-    rows = zip(res.grid.tolist(), res.scores_den.tolist(), res.scores_num.tolist())
-    write_csv(args.out, ["h", "score_den", "score_num"], rows)
+    write_numbers(args.out, ["h", "score_den", "score_num"], [res.grid, res.scores_den, res.scores_num])
     selection = {"h_D_hat": res.h_d_hat, "h_N_hat": res.h_n_hat, "K": res.K, "seed": res.seed}
     _write_json(os.path.splitext(args.out)[0] + ".json", selection)
     return 0

@@ -30,7 +30,7 @@ from .estimators import EstimatorSpec, evaluate_on_grid, kernel_sums, p_at
 from .kernels import BandwidthTriple
 from .rng import derive_seed
 from .rot import DEFAULT_LAG, rot_select
-from .table import write_csv, write_text
+from .table import write_csv, write_numbers, write_text
 from .tree import Population, TreeSample, triangle_columns
 from . import estimators, oracle
 
@@ -380,8 +380,8 @@ def write_figure_outputs(runs: list[FigureRun], out_dir: str) -> list[str]:
     paths = []
     for r in runs:
         paths.append(os.path.join(out_dir, r.file_name))
-        grid = np.column_stack([r.points, r.p_tilde, r.p_true]).tolist()
-        write_csv(paths[-1], ["x", "x0", "x1", "p_tilde", "p_true"], grid)
+        columns = [r.points[:, 0], r.points[:, 1], r.points[:, 2], r.p_tilde, r.p_true]
+        write_numbers(paths[-1], ["x", "x0", "x1", "p_tilde", "p_true"], columns)
     paths.append(os.path.join(out_dir, "summary.csv"))
     write_csv(
         paths[-1],

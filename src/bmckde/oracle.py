@@ -117,19 +117,25 @@ def _reach(params: BarParams, x: float, generations: int) -> tuple[float, float]
 
 
 def _check_magnitudes(params: BarParams, x: float, n: int) -> None:
-    """Reject a model whose generation-n sums from x overflow float64 when squared.
+    """Reject a model whose generation-n sums from x overflow float64 in the moment table.
 
     A generation-n value is at most about A^n (|x| + n (max |b| + 10 sigma))
-    with A = max(1, |a0|, |a1|); the moment table squares sums of 2^n of
-    them.  The bound is taken in logarithms, so it cannot overflow itself.
+    with A = max(1, |a0|, |a1|), and a sum holds 2^n of them.  The table
+    squares the sums, and the standard error of a Q2 row is the spread of
+    those squares, so the bound is on the fourth power.  ``default_grid``
+    squares a0 and a1 themselves, even at n = 0.  The bounds are taken in
+    logarithms, so they cannot overflow themselves.
     """
+    log_max = math.log(sys.float_info.max)
     a = max(1.0, abs(params.a0), abs(params.a1))
     spread = abs(x) + n * (max(abs(params.b0), abs(params.b1)) + 10.0 * params.sigma)
-    if not 2.0 * (n * math.log(2.0 * a) + math.log1p(spread)) < math.log(sys.float_info.max):
+    if not 4.0 * (n * math.log(2.0 * a) + math.log1p(spread)) < log_max:
         raise ValueError(
             f"coefficients a0={params.a0:g}, a1={params.a1:g}, b0={params.b0:g}, b1={params.b1:g}, "
             f"sigma={params.sigma:g} overflow float64 within {n} generations from x={x:g}"
         )
+    if not 2.0 * math.log(a) < log_max:
+        raise ValueError(f"coefficients a0={params.a0:g}, a1={params.a1:g} overflow float64 when squared")
 
 
 def grid_function(nodes: np.ndarray, fn) -> GridFunction:

@@ -2,10 +2,12 @@
 
 The scores are asymptotic mean-squared-error upper bounds for the
 denominator and numerator estimators; their constants are closed-form
-functionals of the reference model's invariant density (sd sigma_a).  The
-practical selector drops the bounded constants and keeps only the sigma_a
-power, estimated from the sample, with the regime switch driven by an
-estimate of the geometric ergodicity rate a.
+functionals of the reference model's invariant density (sd sigma_a).  One
+regime rule splits t = 2a^2 into "sub", "window" and "super", and one closed
+form gives every bandwidth.  The practical selector drops the bounded
+constants: the sample's sigma_a estimate stands for both, t comes from an
+estimate of the ergodicity rate a, and the window, where the exact forms
+raise, gets the supercritical formula.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ DEFAULT_LAG = 1  # ancestor-descendant lag of the rate estimate
 class RotConstants:
     """Score-function constants for the reference model with parameters (a, sigma).
 
-    c1, c2, M_a_sigma drive the denominator score; c_tri, c0_tri, c1_tri,
-    c2_tri, M_tri_a_sigma the numerator score (cross_parent_child and
+    c1, c2, M_a_sigma drive the denominator score; c_tri, c0_tri, c2_tri,
+    M_tri_a_sigma the numerator score (cross_parent_child and
     cross_child_child complete its squared quadratic form); b1..b5 are the
     bounded ratios that justify dropping the constants in the practical rule.
+    c0_tri serves both child coordinates, as the children are exchangeable.
     """
 
     a: float
@@ -47,7 +50,6 @@ class RotConstants:
     M_a_sigma: float
     c_tri: float
     c0_tri: float
-    c1_tri: float
     c2_tri: float
     M_tri_a_sigma: float
     b1: float
@@ -102,7 +104,6 @@ def rot_constants(a: float, sigma: float) -> RotConstants:
         M_a_sigma=m_as,
         c_tri=c_tri,
         c0_tri=c0_tri,
-        c1_tri=c0_tri,
         c2_tri=c2_tri,
         M_tri_a_sigma=m_tri,
         b1=b1,
@@ -115,10 +116,20 @@ def rot_constants(a: float, sigma: float) -> RotConstants:
     )
 
 
+def _regime(t: float, threshold: float) -> str:
+    """The branch at t = 2a^2: "sub" up to threshold, "window" up to 1, "super" above."""
+    return "sub" if t <= threshold else "window" if t <= 1.0 else "super"
+
+
+def _closed_form(regime: str, t: float, n: int, p: int, q: int, sub: float, sup: float) -> float:
+    """sub * 2^(-n/p) in "sub", else sup * t^(-n/q); (p, q) = (5, 1) for h_D, (7, 3) for h_N."""
+    return sub * 2.0 ** (-n / p) if regime == "sub" else sup * t ** (-n / q)
+
+
 def score_G(h, n: int, consts: RotConstants):
     """Denominator AMSE bound as a function of the bandwidth."""
     a = consts.a
-    ergodic = consts.M_a_sigma * a ** (2 * n) if 2.0 * a * a > 1.0 else 0.0
+    ergodic = consts.M_a_sigma * a ** (2 * n) if _regime(2.0 * a * a, DEN_THRESHOLD) == "super" else 0.0
     return consts.c2 * h**4 + consts.c1 / (2.0**n * h) + ergodic
 
 
@@ -129,38 +140,36 @@ def score_G_tri(h, h0, h1, n: int, consts: RotConstants):
     bias = (
         consts.c_tri * h**4
         + consts.c0_tri * h0**4
-        + consts.c1_tri * h1**4
+        + consts.c0_tri * h1**4
         + consts.cross_parent_child * (h * h * h0 * h0 + h * h * h1 * h1)
         + consts.cross_child_child * h0 * h0 * h1 * h1
     )
-    ergodic = consts.M_tri_a_sigma * a ** (2 * n) if 2.0 * a * a > 1.0 else 0.0
+    ergodic = consts.M_tri_a_sigma * a ** (2 * n) if _regime(2.0 * a * a, NUM_THRESHOLD) == "super" else 0.0
     return bias + consts.c2_tri / (2.0**n * h * h0 * h1) + ergodic
 
 
 def exact_h_d(consts: RotConstants, n: int) -> float:
     """Closed-form denominator bandwidth with exact constants."""
     t = 2.0 * consts.a**2
-    if t <= DEN_THRESHOLD:
-        return (consts.c1 / (4.0 * consts.c2)) ** 0.2 * 2.0 ** (-n / 5.0)
-    if t <= 1.0:
+    regime = _regime(t, DEN_THRESHOLD)
+    if regime == "window":
         raise ValueError("exact constants are not defined for 2a^2 in (2^(-1/5), 1]")
-    return consts.c1 / consts.M_a_sigma * t**-n
+    sub = (consts.c1 / (4.0 * consts.c2)) ** 0.2
+    return _closed_form(regime, t, n, 5, 1, sub, consts.c1 / consts.M_a_sigma)
 
 
 def exact_h_n(consts: RotConstants, n: int) -> tuple[float, float, float]:
     """Closed-form numerator bandwidth triple with exact constants."""
     t = 2.0 * consts.a**2
-    if t <= NUM_THRESHOLD:
-        scale = 2.0 ** (-n / 7.0)
-        return (
-            (consts.c2_tri / (4.0 * consts.c_tri)) ** (1.0 / 7.0) * scale,
-            (consts.c2_tri / (4.0 * consts.c0_tri)) ** (1.0 / 7.0) * scale,
-            (consts.c2_tri / (4.0 * consts.c1_tri)) ** (1.0 / 7.0) * scale,
-        )
-    if t <= 1.0:
+    regime = _regime(t, NUM_THRESHOLD)
+    if regime == "window":
         raise ValueError("exact constants are not defined for 2a^2 in (2^(-3/7), 1]")
-    h = (consts.c2_tri / consts.M_tri_a_sigma) ** (1.0 / 3.0) * t ** (-n / 3.0)
-    return (h, h, h)
+    # M_tri_a_sigma < 0 below the window, where its cube root is not real
+    sup = (consts.c2_tri / consts.M_tri_a_sigma) ** (1.0 / 3.0) if regime == "super" else math.nan
+    return tuple(
+        _closed_form(regime, t, n, 7, 3, (consts.c2_tri / (4.0 * c)) ** (1.0 / 7.0), sup)
+        for c in (consts.c_tri, consts.c0_tri, consts.c0_tri)
+    )
 
 
 def sigma_hat_a(values: np.ndarray) -> float:
@@ -213,7 +222,8 @@ class RotSelection:
 
 
 def rot_select(sample: TreeSample, m: int = DEFAULT_LAG) -> RotSelection:
-    """Practical rule-of-thumb bandwidths from one tree sample.
+    """Practical rule-of-thumb bandwidths from one tree sample: the exact closed
+    forms with a sigma_a estimate in place of both constants.
 
     The sigma_a estimates differ per coordinate: the parent sample drives the
     denominator and the numerator parent coordinate, and the two child
@@ -229,18 +239,7 @@ def rot_select(sample: TreeSample, m: int = DEFAULT_LAG) -> RotSelection:
     s_c1 = sigma_hat_a(sample.level(n + 1)[1::2])
 
     t = 2.0 * a * a
-    h_d = 2.0 ** (-n / 5.0) * s_par if t <= DEN_THRESHOLD else t**-n * s_par
-
-    def h_num(s: float) -> float:
-        return 2.0 ** (-n / 7.0) * s if t <= NUM_THRESHOLD else t ** (-n / 3.0) * s
-
-    return RotSelection(
-        h_d_hat=h_d,
-        h_n_hat=h_num(s_par),
-        h_0n_hat=h_num(s_c0),
-        h_1n_hat=h_num(s_c1),
-        a_hat=a,
-        sigma_hats=(s_par, s_c0, s_c1),
-        n=n,
-        m=m,
-    )
+    h_d = _closed_form(_regime(t, DEN_THRESHOLD), t, n, 5, 1, s_par, s_par)
+    num = _regime(t, NUM_THRESHOLD)
+    h_num = (_closed_form(num, t, n, 7, 3, s, s) for s in (s_par, s_c0, s_c1))
+    return RotSelection(h_d, *h_num, a_hat=a, sigma_hats=(s_par, s_c0, s_c1), n=n, m=m)

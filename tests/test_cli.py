@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bmckde.cli
-from bmckde import harness
+from bmckde import harness, oracle
 from bmckde.cli import main
 from bmckde.bar import BarParams, InitSpec, simulate
 from bmckde.cv import DEFAULT_GRID_SIZE
@@ -562,6 +562,16 @@ INVALID = {
     # the simulated sums at 1e150
     "oracle overflowing model 1e200": ("oracle-check", {**ORACLE_OVERFLOW, "a0": 1e200, "a1": 1e200}, None, []),
     "oracle overflowing model 1e150": ("oracle-check", {**ORACLE_OVERFLOW, "a0": 1e150, "a1": 1e150}, None, []),
+    # a0**2 overflows in the oracle's grid even at n = 0, which draws no generation
+    "oracle a0 square overflows at n 0": ("oracle-check", {"a0": 1e200, "n": 0, "m": 0}, None, []),
+    # the squared generation sums are finite, but a Q2 row's standard error,
+    # their spread, would be inf and its z a false pass
+    "oracle Q2 spread overflows": ("oracle-check", {"sigma": 5e76, "n": 2, "m": 0, "replications": 10}, None, []),
+    # sigma^2, rho^2 or the transition density's sigma^4 would raise OverflowError
+    "sigma square overflows": ("simulate", {**SIM, "sigma": 1e200}, None, []),
+    "rho square overflows": ("simulate", {**SIM, "sigma": 1e100, "rho": 1e160}, None, []),
+    "clt sigma fourth power overflows": ("clt-check", {**CLT_MIN, "model": {**CLT_MODEL, "sigma": 1e80}}, None, []),
+    "oracle sigma fourth power overflows": ("oracle-check", {"sigma": 1e80, "n": 1, "m": 0, "replications": 10}, None, []),
     # a CLT point whose limit variance underflows to 0 or overflows: judged
     # before any tree is drawn
     "clt point of zero variance": ("clt-check", {**CLT_MIN, "replications": 3, "point": [0.0, 40.0, 0.0]}, None, []),
@@ -578,6 +588,7 @@ INVALID = {
         [],
     ),
 }
+SIGMA_TOO_LARGE = "error: sigma must be below 1.15792e+77, where sigma^4 overflows float64"
 # what stderr must say, where more than "error:"
 MESSAGES = {
     "threads 0": "error: --threads: 0 is less than the minimum of 1",
@@ -599,6 +610,14 @@ MESSAGES = {
     "oracle overflowing model 1e150": (
         "error: coefficients a0=1e+150, a1=1e+150, b0=0, b1=0, sigma=1 overflow float64 within 3 generations from x=0.5"
     ),
+    "oracle a0 square overflows at n 0": "error: coefficients a0=1e+200, a1=0.5 overflow float64 when squared",
+    "oracle Q2 spread overflows": (
+        "error: coefficients a0=0.5, a1=0.5, b0=0, b1=0, sigma=5e+76 overflow float64 within 2 generations from x=0.5"
+    ),
+    "sigma square overflows": SIGMA_TOO_LARGE,
+    "rho square overflows": SIGMA_TOO_LARGE,
+    "clt sigma fourth power overflows": SIGMA_TOO_LARGE,
+    "oracle sigma fourth power overflows": SIGMA_TOO_LARGE,
     "clt point of zero variance": "error: p_hat limit variance at (0, 40, 0) is 0, not positive and finite",
     "clt mu_tri point of zero variance": "error: mu_tri limit variance at (0, 40, 0) is 0, not positive and finite",
     "clt point of infinite variance": "error: p_hat limit variance at (50, 25, 25) is inf, not positive and finite",
@@ -606,7 +625,7 @@ MESSAGES = {
 
 
 def _record_tree_draws(monkeypatch) -> list:
-    """The depth of every CLT tree batch drawn from now on, in this process."""
+    """The depth of every CLT or oracle tree batch drawn from now on, in this process."""
     drawn = []
     draw = harness.simulate_trees
 
@@ -615,6 +634,7 @@ def _record_tree_draws(monkeypatch) -> list:
         return draw(*args)
 
     monkeypatch.setattr(harness, "simulate_trees", record)
+    monkeypatch.setattr(oracle, "simulate_trees", record)
     return drawn
 
 

@@ -50,7 +50,6 @@ def test_ratio_identities_across_grid():
             assert c.c1 / c.M_a_sigma == pytest.approx(c.b2 * sa**2, rel=1e-12)
             assert c.c2_tri / (4 * c.c_tri) == pytest.approx(c.b3 * sa**7, rel=1e-12)
             assert c.c2_tri / (4 * c.c0_tri) == pytest.approx(c.b4 * sa**7, rel=1e-12)
-            assert c.c2_tri / (4 * c.c1_tri) == pytest.approx(c.b4 * sa**7, rel=1e-12)
             assert c.c2_tri / c.M_tri_a_sigma == pytest.approx(c.b5 * sa**4, rel=1e-12)
 
 
@@ -105,7 +104,7 @@ def test_numerator_constants_match_hessian_quadrature():
 
     assert 0.5 * tint(h00**2) == pytest.approx(c.c_tri, rel=1e-6)
     assert 0.5 * tint(h11**2) == pytest.approx(c.c0_tri, rel=1e-6)
-    assert 0.5 * tint(h22**2) == pytest.approx(c.c1_tri, rel=1e-6)
+    assert 0.5 * tint(h22**2) == pytest.approx(c.c0_tri, rel=1e-6)
     assert tint(h00 * h11) == pytest.approx(c.cross_parent_child, rel=1e-6)
     assert tint(h11 * h22) == pytest.approx(c.cross_child_child, rel=1e-6)
 
@@ -140,7 +139,7 @@ def test_exact_h_n_defining_identities():
     c = rot_constants(0.5, 1.0)
     n = 12
     h, h0, h1 = exact_h_n(c, n)
-    for hi, ci in ((h, c.c_tri), (h0, c.c0_tri), (h1, c.c1_tri)):
+    for hi, ci in ((h, c.c_tri), (h0, c.c0_tri), (h1, c.c0_tri)):
         assert 4 * ci * hi**7 * 2**n == pytest.approx(c.c2_tri, rel=1e-12)
     # the closed form is a per-coordinate heuristic, not the exact joint
     # argmin of the score; it should still land within 10% of the joint
@@ -233,16 +232,34 @@ def test_a_hat_iid_tree_stays_low():
 
 
 def test_rot_select_forced_branches():
-    # subcritical: 2*0.3^2 = 0.18 <= 2^(-1/5) -> |G_n|^(-1/5) scaling
-    n = 10
-    assert 2 * 0.3**2 <= DEN_THRESHOLD
-    assert (2**n) ** (-1 / 5) == pytest.approx(0.25, abs=1e-12)
-    # supercritical: 2*0.8^2 = 1.28 -> (2 a^2)^(-n)
-    assert 2 * 0.8**2 > DEN_THRESHOLD
-    assert 1.28**-10 == pytest.approx(0.084703, abs=5e-6)
-    # threshold is inclusive on the subcritical side
-    a_edge = math.sqrt(DEN_THRESHOLD / 2)
-    assert 2 * a_edge**2 <= DEN_THRESHOLD
+    # each branch of both bandwidths, against the closed forms written out:
+    # 2^(-n/5) s and 2^(-n/7) s up to the threshold, t^(-n) s and t^(-n/3) s
+    # above it (the window included), with t = 2 a_hat^2; and the exact forms
+    # outside the window
+    n = 12
+    for a, den, num in ((0.3, "sub", "sub"), (0.63, "sub", "window"), (0.7, "window", "window"), (0.8, "super", "super")):
+        sel = rot_select(simulate(BarParams(a, a, sigma=1.0), n, InitSpec.stationary(), 0))
+        t = 2.0 * sel.a_hat * sel.a_hat
+        for branch, threshold in ((den, DEN_THRESHOLD), (num, NUM_THRESHOLD)):
+            assert branch == ("sub" if t <= threshold else "window" if t <= 1.0 else "super"), (a, t)
+        s_par, s_c0, s_c1 = sel.sigma_hats
+        assert sel.h_d_hat == (2.0 ** (-n / 5.0) * s_par if den == "sub" else t**-n * s_par)
+        rate = 2.0 ** (-n / 7.0) if num == "sub" else t ** (-n / 3.0)
+        assert (sel.h_n_hat, sel.h_0n_hat, sel.h_1n_hat) == (rate * s_par, rate * s_c0, rate * s_c1)
+
+        c = rot_constants(a, 1.0)
+        t = 2.0 * c.a**2
+        if den == "sub":
+            assert exact_h_d(c, n) == (c.c1 / (4.0 * c.c2)) ** 0.2 * 2.0 ** (-n / 5.0)
+        elif den == "super":
+            assert exact_h_d(c, n) == c.c1 / c.M_a_sigma * t**-n
+        if num == "sub":
+            scale = 2.0 ** (-n / 7.0)
+            h_n = tuple((c.c2_tri / (4.0 * ci)) ** (1.0 / 7.0) * scale for ci in (c.c_tri, c.c0_tri, c.c0_tri))
+            assert exact_h_n(c, n) == h_n
+        elif num == "super":
+            h = (c.c2_tri / c.M_tri_a_sigma) ** (1.0 / 3.0) * t ** (-n / 3.0)
+            assert exact_h_n(c, n) == (h, h, h)
 
 
 def test_rot_select_uses_per_sample_sigma_and_branches():
